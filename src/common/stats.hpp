@@ -19,29 +19,33 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rina {
 
 class Stats {
  public:
-  void inc(const std::string& name, std::uint64_t by = 1) { counters_[name] += by; }
+  // Counter names are looked up as string_views (the map's comparator is
+  // transparent), so the many `inc("literal")` call sites allocate only
+  // the first time a name is seen.
+  using Map = std::map<std::string, std::uint64_t, std::less<>>;
+
+  void inc(std::string_view name, std::uint64_t by = 1) { cell(name) += by; }
 
   /// Record a high-water mark: keep the counter at the max value seen
   /// (peak queue depths and other gauges; read like any counter).
-  void note_max(const std::string& name, std::uint64_t v) {
-    auto& c = counters_[name];
+  void note_max(std::string_view name, std::uint64_t v) {
+    auto& c = cell(name);
     if (v > c) c = v;
   }
 
   /// Stable pointer to a counter's cell. std::map nodes never move, so a
   /// hot path can resolve the name once at construction and bump through
   /// the pointer afterwards, skipping the string lookup per event.
-  [[nodiscard]] std::uint64_t* slot(const std::string& name) {
-    return &counters_[name];
-  }
+  [[nodiscard]] std::uint64_t* slot(std::string_view name) { return &cell(name); }
 
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+  [[nodiscard]] std::uint64_t get(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
@@ -49,17 +53,22 @@ class Stats {
   /// Fold another Stats into this one (used when aggregating per-connection
   /// stats into their allocator on teardown).
   void merge(const Stats& other) {
-    for (const auto& [k, v] : other.counters_) counters_[k] += v;
+    for (const auto& [k, v] : other.counters_) cell(k) += v;
   }
 
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
+  [[nodiscard]] const Map& all() const { return counters_; }
 
   void clear() { counters_.clear(); }
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
+  std::uint64_t& cell(std::string_view name) {
+    auto it = counters_.lower_bound(name);
+    if (it == counters_.end() || it->first != name)
+      it = counters_.emplace_hint(it, std::string(name), 0);
+    return it->second;
+  }
+
+  Map counters_;
 };
 
 /// Unbinned sample histogram: stores every sample, sorts lazily on query.

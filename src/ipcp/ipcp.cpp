@@ -159,7 +159,7 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
         cfg_.rmt_content_store_objects, cfg_.rmt_content_store_ttl);
 }
 
-std::uint64_t Ipcp::counter_sum(const std::string& name) const {
+std::uint64_t Ipcp::counter_sum(std::string_view name) const {
   std::uint64_t n = stats_.get(name) + rmt_.stats_.get(name) +
                     fa_.stats_.get(name) + enrollment_.stats_.get(name);
   if (cstore_) n += cstore_->stats().get(name);
@@ -378,25 +378,30 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
 // ---------------------- management dispatch ----------------------
 
 void Ipcp::send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m) {
+  if (is_canonical_keepalive(m))
+    send_mgmt_wire(idx, m.obj_class, keepalive_wire());
+  else
+    send_mgmt_wire(idx, m.obj_class, m.encode());
+}
+
+void Ipcp::send_mgmt_wire(relay::PortIndex idx, const std::string& cls,
+                          const Bytes& wire) {
   if (idx >= ports_.size()) return;
-  if (m.obj_class == kClsHello) {
+  if (cls == kClsHello) {
     ++*c_hellos_sent_;
-  } else if (m.obj_class == kClsKeepAlive) {
+  } else if (cls == kClsKeepAlive) {
     ++*c_keepalives_sent_;
-  } else if (m.obj_class == kClsLsu) {
+  } else if (cls == kClsLsu) {
     ++*c_lsus_flooded_;
   } else {
     ++*c_riep_sent_;
-    if (m.obj_class == kClsJoinReq) enrollment_.stats_.inc("join_requests_sent");
+    if (cls == kClsJoinReq) enrollment_.stats_.inc("join_requests_sent");
   }
   efcp::Pdu pdu;
   pdu.pci.type = efcp::PduType::mgmt;
   pdu.pci.src = address_;
   pdu.pci.dest = naming::Address{};  // port-local
-  pdu.payload = is_canonical_keepalive(m)
-                    ? Packet::with_headroom(kDefaultHeadroom,
-                                            BytesView{keepalive_wire()})
-                    : mgmt_payload(m);
+  pdu.payload = Packet::with_headroom(kDefaultHeadroom, BytesView{wire});
   *c_mgmt_bytes_ += pdu.payload.view().size();
   rmt_.egress(idx, std::move(pdu));
 }
@@ -520,9 +525,8 @@ void Ipcp::handle_bye(relay::PortIndex idx) {
 
 // ---------------------------- routing ----------------------------
 
-std::map<naming::Address, std::vector<relay::PortIndex>> Ipcp::live_neighbors()
-    const {
-  std::map<naming::Address, std::vector<relay::PortIndex>> out;
+naming::AddrMap<std::vector<relay::PortIndex>> Ipcp::live_neighbors() const {
+  naming::AddrMap<std::vector<relay::PortIndex>> out;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     const Port& p = ports_[i];
     if (usable(p)) out[p.peer].push_back(static_cast<relay::PortIndex>(i));
@@ -533,13 +537,14 @@ std::map<naming::Address, std::vector<relay::PortIndex>> Ipcp::live_neighbors()
 void Ipcp::rebuild_neighbor_ports() {
   // Step-2 bindings: *every* known attachment to a neighbor, live or not —
   // liveness is checked per-PDU at lookup time (late binding).
-  std::map<naming::Address, std::vector<relay::PortIndex>> all;
+  naming::AddrMap<std::vector<relay::PortIndex>> all;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     const Port& p = ports_[i];
     if (p.peer_enrolled && !p.peer.is_null())
       all[p.peer].push_back(static_cast<relay::PortIndex>(i));
   }
-  for (auto& [addr, ports] : all) rmt_.fib_.set_neighbor_ports(addr, ports);
+  for (const auto& [addr, ports] : all)
+    rmt_.fib_.set_neighbor_ports(addr, std::move(ports));
 }
 
 void Ipcp::adjacency_changed() {
@@ -585,15 +590,16 @@ void Ipcp::originate_lsu() {
 }
 
 void Ipcp::flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except) {
+  const Bytes wire = m.encode();  // once per flood, not once per port
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     auto idx = static_cast<relay::PortIndex>(i);
     if (except && *except == idx) continue;
-    if (usable(ports_[i])) send_mgmt(idx, m);
+    if (usable(ports_[i])) send_mgmt_wire(idx, m.obj_class, wire);
   }
 }
 
 void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
-  stats_.inc("lsus_received");
+  ++lazy_cell(c_lsus_received_, "lsus_received");
   BufReader r(BytesView{m.value});
   naming::Address origin = get_addr(r);
   std::uint64_t seq = r.get_u64();
@@ -606,7 +612,7 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
     auto lit = lsdb_.find(origin);
     if (lit != lsdb_.end() && seq <= lit->second.seq &&
         !(lit->second.seq == 0 && seq == 0)) {
-      stats_.inc("lsus_dup_suppressed");
+      ++lazy_cell(c_lsus_dup_suppressed_, "lsus_dup_suppressed");
       return;  // stale or duplicate
     }
   }
@@ -659,14 +665,14 @@ void Ipcp::run_spf() {
 
   rmt_.fib_.clear_routes();
   if (!cfg_.aggregate_regions) {
-    for (auto& [dest, entry] : spf.entries)
-      rmt_.fib_.set_next_hops(dest, entry.next_hops);
+    for (const auto& [dest, entry] : spf.entries)
+      rmt_.fib_.set_next_hops(dest, std::move(entry.next_hops));
   } else {
     // Topological aggregation: full entries for my region, one wildcard
     // entry per foreign region (routes grow with regions, not nodes).
     std::map<std::uint16_t, std::pair<routing::Cost, std::vector<naming::Address>>>
         best_foreign;
-    for (auto& [dest, entry] : spf.entries) {
+    for (const auto& [dest, entry] : spf.entries) {
       if (dest.region == address_.region) {
         rmt_.fib_.set_next_hops(dest, entry.next_hops);
       } else {
@@ -1347,13 +1353,17 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
 // fell off the bounded log), and periodic anti-entropy digest rounds
 // sweep the namespace in sorted windows — the tentpole's RIB layer.
 
-void Ipcp::send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value) {
+rib::RiepMessage Ipcp::sync_msg(const char* cls, Bytes value) {
   rib::RiepMessage m;
   m.op = rib::RiepOp::sync;
   m.obj_name = "/rib/sync";
   m.obj_class = cls;
   m.value = std::move(value);
-  send_mgmt(idx, m);
+  return m;
+}
+
+void Ipcp::send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value) {
+  send_mgmt(idx, sync_msg(cls, std::move(value)));
 }
 
 void Ipcp::disseminate_delta(const std::string& name, const std::string& cls,
@@ -1366,13 +1376,11 @@ void Ipcp::disseminate_delta(const std::string& name, const std::string& cls,
   e.value = std::move(value);
   rib::Delta d;
   d.origin = address_;
-  d.entries.push_back(e);  // copy: the log keeps its own
-  sync_.log(address_).record(std::move(e));
-  Bytes wire = d.encode();
+  d.entries.push_back(std::move(e));
+  rib::RiepMessage m = sync_msg(kClsRibDelta, d.encode());
+  sync_.log(address_).record(std::move(d.entries.front()));
   stats_.inc("deltas_originated");
-  for (std::size_t i = 0; i < ports_.size(); ++i)
-    if (usable(ports_[i]))
-      send_sync_msg(static_cast<relay::PortIndex>(i), kClsRibDelta, wire);
+  flood(m, std::nullopt);
 }
 
 void Ipcp::disseminate_dir_delta(const naming::AppName& app, std::uint8_t op) {
@@ -1430,9 +1438,19 @@ void Ipcp::handle_rib_delta(relay::PortIndex idx, const rib::RiepMessage& m) {
   auto decoded = rib::Delta::decode(BytesView{m.value});
   if (!decoded.ok()) return;
   rib::Delta& d = decoded.value();
-  stats_.inc("deltas_received");
+  ++lazy_cell(c_deltas_received_, "deltas_received");
   const bool own = d.origin == address_;
   rib::OriginLog* log = d.origin.is_null() || own ? nullptr : &sync_.log(d.origin);
+  // The common case — every entry a logged seq not seen before, in
+  // ascending order so none repeats — re-floods the received encoding
+  // unchanged (encode(decode(x)) == x) and moves each entry straight into
+  // the log. Otherwise only the fresh entries re-flood, re-encoded.
+  bool all_fresh = log != nullptr;
+  for (std::size_t i = 0; all_fresh && i < d.entries.size(); ++i) {
+    std::uint64_t seq = d.entries[i].seq;
+    all_fresh = seq != 0 && !log->has(seq) &&
+                (i == 0 || seq > d.entries[i - 1].seq);
+  }
   std::uint64_t gap_from = 0, gap_to = 0;
   rib::Delta fwd;  // fresh logged entries re-flood to the other ports
   fwd.origin = d.origin;
@@ -1444,7 +1462,7 @@ void Ipcp::handle_rib_delta(relay::PortIndex idx, const rib::RiepMessage& m) {
       continue;
     }
     if (log->has(e.seq)) {
-      stats_.inc("deltas_dup_suppressed");
+      ++lazy_cell(c_deltas_dup_suppressed_, "deltas_dup_suppressed");
       continue;
     }
     // Note the hole *before* recording raises high(): pull exactly the
@@ -1454,17 +1472,13 @@ void Ipcp::handle_rib_delta(relay::PortIndex idx, const rib::RiepMessage& m) {
       gap_to = e.seq - 1;
     }
     (void)apply_replicated(e);
-    fwd.entries.push_back(e);
+    if (!all_fresh) fwd.entries.push_back(e);
     log->record(std::move(e));
   }
-  if (!fwd.entries.empty()) {
-    Bytes wire = fwd.encode();
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      auto pi = static_cast<relay::PortIndex>(i);
-      if (pi != idx && usable(ports_[i]))
-        send_sync_msg(pi, kClsRibDelta, wire);
-    }
-  }
+  if (all_fresh && !d.entries.empty())
+    flood(sync_msg(kClsRibDelta, m.value), idx);
+  else if (!fwd.entries.empty())
+    flood(sync_msg(kClsRibDelta, fwd.encode()), idx);
   if (gap_from != 0) {
     stats_.inc("delta_gap_pulls");
     rib::PullRequest pr;
@@ -1644,7 +1658,7 @@ void Ipcp::run_spf_incremental() {
     stats_.inc("spf_runs");
     stats_.inc("spf_full_runs");
     rmt_.fib_.clear_routes();
-    for (auto& [dest, entry] : spf_prev_.entries)
+    for (const auto& [dest, entry] : spf_prev_.entries)
       rmt_.fib_.set_next_hops(dest, entry.next_hops);
     rebuild_neighbor_ports();
     return;
@@ -1658,8 +1672,8 @@ void Ipcp::run_spf_incremental() {
   std::vector<routing::EdgeChange> changes = std::move(pending_edge_changes_);
   pending_edge_changes_.clear();
   routing::SpfDelta delta;
-  routing::SpfResult next =
-      graph_.spf_incremental(address_, spf_prev_, changes, delta);
+  spf_prev_ =
+      graph_.spf_incremental(address_, std::move(spf_prev_), changes, delta);
   if (delta.skipped) {
     // No changed edge touched a shortest path: the tree stands.
     stats_.inc("spf_skipped");
@@ -1674,11 +1688,10 @@ void Ipcp::run_spf_incremental() {
     if (dest != address_) rmt_.fib_.remove_route(dest);
   for (auto dest : delta.changed) {
     if (dest == address_) continue;
-    auto it = next.entries.find(dest);
-    if (it != next.entries.end())
+    auto it = spf_prev_.entries.find(dest);
+    if (it != spf_prev_.entries.end())
       rmt_.fib_.set_next_hops(dest, it->second.next_hops);
   }
-  spf_prev_ = std::move(next);
   rebuild_neighbor_ports();
 }
 

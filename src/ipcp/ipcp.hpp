@@ -23,6 +23,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -34,6 +35,7 @@
 #include "efcp/pci.hpp"
 #include "flow/flow.hpp"
 #include "flow/qos.hpp"
+#include "naming/addr_map.hpp"
 #include "naming/dir_cache.hpp"
 #include "naming/directory.hpp"
 #include "naming/names.hpp"
@@ -287,7 +289,7 @@ class Ipcp {
 
   /// Sum a counter across this IPCP's stat domains (core, RMT, FA,
   /// enrollment, live and closed EFCP connections).
-  [[nodiscard]] std::uint64_t counter_sum(const std::string& name) const;
+  [[nodiscard]] std::uint64_t counter_sum(std::string_view name) const;
 
   // ---- bootstrap (called by the Network façade) ----
   void bootstrap_member(naming::Address addr);  // founding member: no join
@@ -353,12 +355,21 @@ class Ipcp {
     std::vector<naming::Address> neighbors;
   };
 
+  std::uint64_t& lazy_cell(std::uint64_t*& cell, std::string_view name) {
+    if (cell == nullptr) cell = stats_.slot(name);
+    return *cell;
+  }
+
   [[nodiscard]] bool usable(const Port& p) const {
     return p.carrier && p.alive && p.peer_enrolled && !p.peer.is_null();
   }
 
   // Management-plane plumbing.
   void send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m);
+  /// send_mgmt for a message already encoded into `wire` (floods encode
+  /// once and send the same bytes on every port).
+  void send_mgmt_wire(relay::PortIndex idx, const std::string& cls,
+                      const Bytes& wire);
   void send_routed_mgmt(naming::Address dest, const rib::RiepMessage& m);
   void handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu);
   void handle_hello(relay::PortIndex idx, const rib::RiepMessage& m);
@@ -394,6 +405,7 @@ class Ipcp {
   void disseminate_delta(const std::string& name, const std::string& cls,
                          Bytes value, std::uint64_t version);
   bool apply_replicated(const rib::DeltaEntry& e);
+  static rib::RiepMessage sync_msg(const char* cls, Bytes value);
   void send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value);
   void push_objects(relay::PortIndex idx, const std::vector<std::string>& names);
   void send_port_digest(relay::PortIndex idx);
@@ -423,8 +435,8 @@ class Ipcp {
                              const std::vector<naming::Address>& old_n,
                              const std::vector<naming::Address>& new_n);
   void rebuild_neighbor_ports();
-  [[nodiscard]] std::map<naming::Address, std::vector<relay::PortIndex>>
-  live_neighbors() const;
+  [[nodiscard]] naming::AddrMap<std::vector<relay::PortIndex>> live_neighbors()
+      const;
 
   // Keepalives.
   void keepalive_tick();
@@ -455,6 +467,14 @@ class Ipcp {
   std::uint64_t* c_lsus_flooded_ = nullptr;
   std::uint64_t* c_riep_sent_ = nullptr;
   std::uint64_t* c_mgmt_bytes_ = nullptr;  // control bytes on the wire
+  // Per-LSU and per-delta cells: a bring-up receives every member's LSUs
+  // and deltas from every neighbor, ~1M messages at a thousand members.
+  // Resolved on first use (lazy_cell), so a member that never sees one
+  // never holds the counter, exactly as with stats_.inc.
+  std::uint64_t* c_lsus_received_ = nullptr;
+  std::uint64_t* c_lsus_dup_suppressed_ = nullptr;
+  std::uint64_t* c_deltas_received_ = nullptr;
+  std::uint64_t* c_deltas_dup_suppressed_ = nullptr;
 
   Rmt rmt_;
   FlowAllocator fa_;
@@ -462,7 +482,7 @@ class Ipcp {
   std::unique_ptr<content::ContentStore> cstore_;  // per-DIF RMT policy
 
   // Link-state database and flood dedup state.
-  std::map<naming::Address, LsuRecord> lsdb_;
+  naming::AddrMap<LsuRecord> lsdb_;
   std::uint64_t lsu_seq_ = 0;
   std::set<std::uint64_t> dir_flood_seen_;
   std::uint64_t dir_seq_ = 0;
@@ -479,7 +499,7 @@ class Ipcp {
   // Who asked me for a name recently (authorities only; queries land on
   // the resolver chain). Invalidations cascade down these edges instead
   // of flooding the DIF, so a mobility event costs O(actual interest).
-  std::map<naming::AppName, std::map<naming::Address, SimTime>> dir_interest_;
+  std::map<naming::AppName, naming::AddrMap<SimTime>> dir_interest_;
 
   // Delta sync state (cfg_.rib_delta_sync): per-origin logs + cursor.
   rib::SyncState sync_;

@@ -11,11 +11,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "common/packet.hpp"
+#include "naming/addr_map.hpp"
 #include "naming/names.hpp"
 
 namespace rina::relay {
@@ -221,7 +221,7 @@ class ForwardingTable {
     // One-entry memo: per-PDU traffic overwhelmingly resolves the same
     // destination back to back (a host talks to one peer; a relay's
     // transit flows converge on a few next hops), so remembering the
-    // last map resolution skips both tree walks on the hot path. The
+    // last resolution skips both table lookups on the hot path. The
     // memo caches only the dest -> hops binding — port liveness and
     // round-robin state are still evaluated fresh per call — and every
     // table mutation drops it, so results are bit-identical.
@@ -266,8 +266,8 @@ class ForwardingTable {
     return std::nullopt;
   }
 
-  [[nodiscard]] const std::map<naming::Address, std::vector<naming::Address>>&
-  routes() const {
+  [[nodiscard]] const naming::AddrMap<std::vector<naming::Address>>& routes()
+      const {
     return next_hops_;
   }
 
@@ -278,10 +278,12 @@ class ForwardingTable {
     return it == next_hops_.end() ? nullptr : &it->second;
   }
 
-  std::map<naming::Address, std::vector<naming::Address>> next_hops_;
-  std::map<naming::Address, std::vector<PortIndex>> neighbor_ports_;
+  // Dense address-indexed rows (naming::AddrMap): a per-PDU lookup is two
+  // array indexes, not a tree walk.
+  naming::AddrMap<std::vector<naming::Address>> next_hops_;
+  naming::AddrMap<std::vector<PortIndex>> neighbor_ports_;
   PoaPolicy policy_ = PoaPolicy::first_up;
-  mutable std::map<naming::Address, std::size_t> rr_state_;
+  mutable naming::AddrMap<std::size_t> rr_state_;
   // lookup()'s one-entry memo (see there). Pointers into the maps above
   // stay valid until a mutating call, which nulls them.
   mutable naming::Address memo_dest_{};

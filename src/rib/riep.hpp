@@ -99,28 +99,31 @@ class Rib {
   }
 
   /// Create-or-write: dissemination upserts remote state.
-  void upsert(const std::string& name, const std::string& obj_class, Bytes value) {
+  void upsert(const std::string& name, const std::string& obj_class,
+              const Bytes& value) {
     auto it = objects_.find(name);
     if (it == objects_.end()) {
-      objects_.emplace(name, Object{obj_class, std::move(value), 1});
+      objects_.emplace(name, Object{obj_class, value, 1});
     } else {
-      it->second.value = std::move(value);
+      it->second.value = value;
       ++it->second.version;
     }
   }
 
   /// Replica apply: install `value` at an origin-authoritative `version`.
   /// No-op (returns false) unless `version` is newer than what we hold —
-  /// re-floods and out-of-order deltas must never regress an object.
+  /// re-floods and out-of-order deltas must never regress an object. The
+  /// value is copied only when it is installed, so rejected repairs cost
+  /// one lookup.
   bool upsert_versioned(const std::string& name, const std::string& obj_class,
-                        Bytes value, std::uint64_t version) {
+                        const Bytes& value, std::uint64_t version) {
     auto it = objects_.find(name);
     if (it == objects_.end()) {
-      objects_.emplace(name, Object{obj_class, std::move(value), version});
+      objects_.emplace(name, Object{obj_class, value, version});
       return true;
     }
     if (version <= it->second.version) return false;
-    it->second.value = std::move(value);
+    it->second.value = value;
     it->second.version = version;
     return true;
   }

@@ -37,12 +37,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
+#include "naming/addr_map.hpp"
 #include "naming/names.hpp"
 #include "rib/riep.hpp"
 
@@ -304,6 +304,11 @@ struct PullRequest {
 /// Bounded log of the most recent deltas from one origin, keyed by that
 /// origin's dissemination seq. Serves range pulls; presence doubles as
 /// the duplicate filter for re-flooded deltas.
+///
+/// Storage is one vector sorted by seq. Entries almost always arrive in
+/// order, so a record is an append; evicting the oldest only advances
+/// `head_`, and the dead prefix is compacted once it reaches the
+/// capacity, so eviction is amortized O(1) without a node per entry.
 class OriginLog {
  public:
   explicit OriginLog(std::size_t cap = 64) : cap_(cap ? cap : 1) {}
@@ -311,41 +316,72 @@ class OriginLog {
   void set_capacity(std::size_t cap) { cap_ = cap ? cap : 1; }
 
   [[nodiscard]] std::uint64_t high() const noexcept { return high_; }
-  [[nodiscard]] bool has(std::uint64_t seq) const { return entries_.count(seq) != 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size() - head_; }
+  [[nodiscard]] bool has(std::uint64_t seq) const {
+    if (seq > high_) return false;
+    auto it = lower(seq);
+    return it != entries_.end() && it->seq == seq;
+  }
   [[nodiscard]] std::uint64_t floor() const {
-    return entries_.empty() ? high_ + 1 : entries_.begin()->first;
+    return size() == 0 ? high_ + 1 : entries_[head_].seq;
   }
 
+  /// Log `e` under its seq (a re-recorded seq overwrites), then evict the
+  /// oldest entries beyond the capacity.
   void record(DeltaEntry e) {
     if (e.seq == 0) return;
     high_ = std::max(high_, e.seq);
-    std::uint64_t s = e.seq;
-    entries_[s] = std::move(e);
-    while (entries_.size() > cap_) entries_.erase(entries_.begin());
+    auto it = lower(e.seq);
+    if (it != entries_.end() && it->seq == e.seq)
+      *it = std::move(e);
+    else
+      entries_.insert(it, std::move(e));
+    while (size() > cap_) entries_[head_++] = DeltaEntry{};
+    if (head_ >= cap_) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
 
   /// True iff every seq in [from, to] is still retained.
   [[nodiscard]] bool can_serve(std::uint64_t from, std::uint64_t to) const {
     if (from == 0 || to < from || to > high_) return false;
-    if (to - from + 1 > entries_.size()) return false;
-    for (std::uint64_t s = from; s <= to; ++s)
-      if (!has(s)) return false;
+    if (to - from + 1 > size()) return false;
+    auto it = lower(from);
+    for (std::uint64_t s = from; s <= to; ++s, ++it)
+      if (it == entries_.end() || it->seq != s) return false;
     return true;
   }
 
   [[nodiscard]] std::vector<DeltaEntry> collect(std::uint64_t from,
                                                 std::uint64_t to) const {
     std::vector<DeltaEntry> out;
-    for (auto it = entries_.lower_bound(from); it != entries_.end() && it->first <= to;
-         ++it)
-      out.push_back(it->second);
+    for (auto it = lower(from); it != entries_.end() && it->seq <= to; ++it)
+      out.push_back(*it);
     return out;
   }
 
  private:
+  using Iter = std::vector<DeltaEntry>::iterator;
+  using CIter = std::vector<DeltaEntry>::const_iterator;
+
+  /// First live entry with seq >= `seq`.
+  [[nodiscard]] CIter lower(std::uint64_t seq) const {
+    return std::lower_bound(
+        entries_.begin() + static_cast<std::ptrdiff_t>(head_), entries_.end(),
+        seq, [](const DeltaEntry& e, std::uint64_t s) { return e.seq < s; });
+  }
+  [[nodiscard]] Iter lower(std::uint64_t seq) {
+    return std::lower_bound(
+        entries_.begin() + static_cast<std::ptrdiff_t>(head_), entries_.end(),
+        seq, [](const DeltaEntry& e, std::uint64_t s) { return e.seq < s; });
+  }
+
   std::size_t cap_;
   std::uint64_t high_ = 0;
-  std::map<std::uint64_t, DeltaEntry> entries_;
+  std::size_t head_ = 0;  // entries_[0, head_) are evicted, awaiting compaction
+  std::vector<DeltaEntry> entries_;  // sorted by seq
 };
 
 /// Per-member sync state: one OriginLog per origin plus the digest
@@ -356,20 +392,18 @@ class SyncState {
 
   void set_log_capacity(std::size_t cap) {
     log_cap_ = cap;
-    for (auto& [k, log] : logs_) {
-      (void)k;
+    for (const auto& [origin, log] : logs_) {
+      (void)origin;
       log.set_capacity(cap);
     }
   }
 
   OriginLog& log(naming::Address origin) {
-    auto [it, inserted] = logs_.try_emplace(origin.key(), log_cap_);
-    (void)inserted;
-    return it->second;
+    return (*logs_.try_emplace(origin, log_cap_).first).second;
   }
 
   [[nodiscard]] const OriginLog* find_log(naming::Address origin) const {
-    auto it = logs_.find(origin.key());
+    auto it = logs_.find(origin);
     return it == logs_.end() ? nullptr : &it->second;
   }
 
@@ -377,25 +411,26 @@ class SyncState {
 
  private:
   std::size_t log_cap_;
-  std::map<std::uint32_t, OriginLog> logs_;
+  naming::AddrMap<OriginLog> logs_;
 };
 
 /// Full scoped snapshot as a repair delta (every entry seq 0), for the
 /// too-far-behind fallback. Sorted by name for determinism.
 inline Delta build_snapshot(const Rib& rib, std::size_t max_entries) {
   Delta d;  // origin stays null: pure repair
-  std::vector<std::string> names;
-  for (const auto& [name, obj] : rib.objects()) {
-    (void)obj;
-    if (replicated_scope(name)) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-  if (names.size() > max_entries) names.resize(max_entries);
-  for (auto& name : names) {
-    const Rib::Object* o = rib.find(name);
-    if (!o) continue;
-    d.entries.push_back(DeltaEntry{0, std::move(name), o->obj_class, o->version,
-                                   o->value});
+  // Sort the scoped objects themselves (names are unique keys), so each
+  // entry is read once instead of looked up again by name.
+  using Item = const std::pair<const std::string, Rib::Object>*;
+  std::vector<Item> items;
+  for (const auto& kv : rib.objects())
+    if (replicated_scope(kv.first)) items.push_back(&kv);
+  std::sort(items.begin(), items.end(),
+            [](Item a, Item b) { return a->first < b->first; });
+  if (items.size() > max_entries) items.resize(max_entries);
+  d.entries.reserve(items.size());
+  for (Item it : items) {
+    const Rib::Object& o = it->second;
+    d.entries.push_back(DeltaEntry{0, it->first, o.obj_class, o.version, o.value});
   }
   return d;
 }

@@ -25,11 +25,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <queue>
-#include <set>
 #include <vector>
 
+#include "naming/addr_map.hpp"
 #include "naming/names.hpp"
 
 namespace rina::routing {
@@ -46,7 +45,7 @@ struct SpfResult {
     // SP-DAG in-neighbors). Incremental repair walks these.
     std::vector<naming::Address> parents;
   };
-  std::map<naming::Address, Entry> entries;
+  naming::AddrMap<Entry> entries;
 };
 
 /// One edge-cost transition for spf_incremental. kInfinity on either
@@ -115,7 +114,8 @@ class Graph {
     using QItem = std::pair<Cost, naming::Address>;
     std::priority_queue<QItem, std::vector<QItem>, std::greater<>> q;
     q.emplace(0, src);
-    std::map<naming::Address, bool> done;
+    naming::AddrMap<bool> done;
+    std::vector<naming::Address> via;  // reused: no allocation per edge
 
     while (!q.empty()) {
       auto [d, u] = q.top();
@@ -129,8 +129,10 @@ class Graph {
         Cost nd = d + e.cost;
         auto& ent = entries[e.to];
         // First-hop propagation: the source's neighbors seed themselves.
-        std::vector<naming::Address> via =
-            u == src ? std::vector<naming::Address>{e.to} : entries[u].next_hops;
+        if (u == src)
+          via.assign(1, e.to);
+        else
+          via = entries[u].next_hops;
         if (nd < ent.dist) {
           ent.dist = nd;
           ent.next_hops = via;
@@ -155,8 +157,9 @@ class Graph {
   /// `changes` were applied to it) into the result for the current
   /// graph. `changes` describe cost transitions already applied via
   /// set_edge/remove_edge. See the header comment for guarantees.
-  [[nodiscard]] SpfResult spf_incremental(naming::Address src,
-                                          const SpfResult& prev,
+  /// `prev` is taken by value: a caller replacing its previous result
+  /// moves it in and the repair works on it in place, with no copy.
+  [[nodiscard]] SpfResult spf_incremental(naming::Address src, SpfResult prev,
                                           const std::vector<EdgeChange>& changes,
                                           SpfDelta& delta) const {
     auto addc = [](Cost a, Cost b) -> Cost {
@@ -194,13 +197,16 @@ class Graph {
 
     // 2. Dirty set: targets of worsened tight edges and all their SP-DAG
     // descendants (conservative: any dirty parent dirties the child).
-    std::set<naming::Address> dirty;
-    std::map<naming::Address, std::vector<naming::Address>> children;
-    for (const auto& [v, e] : prev.entries)
-      for (const auto& p : e.parents) children[p].push_back(v);
+    // Only worsened edges dirty anything, so only they need the child
+    // lists (an improvement-only batch skips building them).
+    naming::AddrMap<bool> dirty;  // a set: iterates in address order
+    naming::AddrMap<std::vector<naming::Address>> children;
+    if (!worse_hit.empty())
+      for (const auto& [v, e] : prev.entries)
+        for (const auto& p : e.parents) children[p].push_back(v);
     std::vector<naming::Address> stack;
     auto mark = [&](naming::Address v) {
-      if (v != src && dirty.insert(v).second) stack.push_back(v);
+      if (v != src && dirty.try_emplace(v).second) stack.push_back(v);
     };
     for (const auto* ch : worse_hit) mark(ch->to);
     while (!stack.empty()) {
@@ -211,8 +217,8 @@ class Graph {
       for (const auto& c : it->second) mark(c);
     }
 
-    SpfResult out = prev;
-    for (const auto& v : dirty) out.entries.erase(v);
+    SpfResult out = std::move(prev);
+    for (const auto& [v, unused] : dirty) out.entries.erase(v);
     auto cur_dist = [&](naming::Address a) -> Cost {
       if (a == src) return 0;
       auto it = out.entries.find(a);
@@ -226,7 +232,7 @@ class Graph {
     // its old shortest path is intact.
     using QItem = std::pair<Cost, naming::Address>;
     std::priority_queue<QItem, std::vector<QItem>, std::greater<>> q;
-    for (const auto& v : dirty) {
+    for (const auto& [v, unused] : dirty) {
       auto rit = radj_.find(v);
       if (rit == radj_.end()) continue;
       for (const Edge& ie : rit->second) {  // ie.to = in-neighbor of v
@@ -241,7 +247,7 @@ class Graph {
       if (cand != kInfinity) q.emplace(cand, ch->to);
     }
 
-    std::set<naming::Address> settled, hops_dirty;
+    naming::AddrMap<bool> settled, hops_dirty;
     while (!q.empty()) {
       auto [d, u] = q.top();
       q.pop();
@@ -250,12 +256,12 @@ class Graph {
       if (d > cu) continue;
       if (d == cu && out.entries.count(u)) {
         // Equal-cost path appeared: distance stands, hops need repair.
-        hops_dirty.insert(u);
+        hops_dirty[u] = true;
         continue;
       }
       out.entries[u].dist = d;
-      settled.insert(u);
-      hops_dirty.insert(u);
+      settled[u] = true;
+      hops_dirty[u] = true;
       auto it = adj_.find(u);
       if (it == adj_.end()) continue;
       for (const Edge& e : it->second) {
@@ -264,34 +270,37 @@ class Graph {
         if (cand == kInfinity) continue;
         Cost ct = cur_dist(e.to);
         if (cand < ct) q.emplace(cand, e.to);
-        else if (cand == ct && out.entries.count(e.to)) hops_dirty.insert(e.to);
+        else if (cand == ct && out.entries.count(e.to)) hops_dirty[e.to] = true;
       }
     }
 
     // Dirty vertices never settled are unreachable now.
-    for (const auto& v : dirty)
+    for (const auto& [v, unused] : dirty)
       if (!out.entries.count(v)) delta.removed.push_back(v);
 
     // 4. Phase B — parents + first-hop sets, in distance order so a
     // repaired vertex reads final hop sets from its (strictly closer)
     // tight in-neighbors. Hop changes cascade to tight children even
     // when distances didn't move.
-    std::set<QItem> work;
-    for (const auto& v : hops_dirty) {
+    // Min-heap of (dist, vertex); a vertex's dist is final here, so a
+    // repeated push is the same item and `done` skips it.
+    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> work;
+    for (const auto& [v, unused] : hops_dirty) {
       auto it = out.entries.find(v);
       if (it != out.entries.end()) work.emplace(it->second.dist, v);
     }
-    std::set<naming::Address> done;
+    naming::AddrMap<bool> done;
+    std::vector<Edge> ins;  // reused: in-edges sorted by source address
     while (!work.empty()) {
-      auto [d, v] = *work.begin();
-      work.erase(work.begin());
-      if (!done.insert(v).second) continue;
+      auto [d, v] = work.top();
+      work.pop();
+      if (!done.try_emplace(v).second) continue;
       auto& ent = out.entries[v];
       std::vector<naming::Address> parents;
       std::vector<naming::Address> hops;
       auto rit = radj_.find(v);
       if (rit != radj_.end()) {
-        std::vector<Edge> ins(rit->second);
+        ins.assign(rit->second.begin(), rit->second.end());
         std::sort(ins.begin(), ins.end(),
                   [](const Edge& a, const Edge& b) { return a.to < b.to; });
         for (const Edge& ie : ins) {
@@ -328,12 +337,12 @@ class Graph {
     }
 
     delta.recomputed = done.size();
-    delta.changed.assign(done.begin(), done.end());
+    delta.changed.reserve(done.size());
+    for (const auto& [v, unused] : done) delta.changed.push_back(v);
     return out;
   }
 
-  [[nodiscard]] const std::map<naming::Address, std::vector<Edge>>& adjacency()
-      const {
+  [[nodiscard]] const naming::AddrMap<std::vector<Edge>>& adjacency() const {
     return adj_;
   }
 
@@ -359,7 +368,7 @@ class Graph {
     edges.push_back(Edge{to, cost});
   }
 
-  static void erase_edge(std::map<naming::Address, std::vector<Edge>>& m,
+  static void erase_edge(naming::AddrMap<std::vector<Edge>>& m,
                          naming::Address from, naming::Address to) {
     auto it = m.find(from);
     if (it == m.end()) return;
@@ -369,9 +378,9 @@ class Graph {
                 edges.end());
   }
 
-  std::map<naming::Address, std::vector<Edge>> adj_;
+  naming::AddrMap<std::vector<Edge>> adj_;
   // Reverse adjacency: radj_[v] lists (in-neighbor, cost) as Edge{to=u}.
-  std::map<naming::Address, std::vector<Edge>> radj_;
+  naming::AddrMap<std::vector<Edge>> radj_;
 };
 
 }  // namespace rina::routing

@@ -7,6 +7,7 @@
 // delta-sync DIF still converges routing and delivers data.
 #include "rib/sync.hpp"
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,82 @@ static void origin_log_gap_and_eviction() {
   CHECK(log.floor() == 3);
   CHECK(!log.can_serve(2, 6));  // fell off the log -> snapshot fallback
   CHECK(log.can_serve(3, 6));
+}
+
+static void delta_reencode_is_identity() {
+  // Relays re-flood a received delta's bytes unchanged when every entry
+  // is fresh, which is only sound if encode(decode(x)) == x for any valid
+  // x: multi-entry deltas with mixed seqs, empty and binary values,
+  // names of every length class.
+  std::mt19937 rng(7);
+  for (int round = 0; round < 50; ++round) {
+    Delta d;
+    d.origin = Address{static_cast<std::uint16_t>(rng() % 40),
+                       static_cast<std::uint16_t>(rng() % 65536)};
+    std::size_t n = 1 + rng() % 9;
+    for (std::size_t i = 0; i < n; ++i) {
+      DeltaEntry e;
+      e.seq = rng() % 4 == 0 ? 0 : 1 + rng() % 100000;
+      e.name = "/routing/lsu/" + std::string(rng() % 40, 'n');
+      e.obj_class = i % 2 == 0 ? "LSU" : "DirEntry";
+      e.version = rng();
+      e.value.resize(rng() % 70);
+      for (auto& b : e.value) b = static_cast<std::uint8_t>(rng());
+      d.entries.push_back(std::move(e));
+    }
+    Bytes wire = d.encode();
+    auto back = Delta::decode(BytesView{wire});
+    CHECK(back.ok());
+    CHECK(back.value().entries.size() == n);
+    CHECK(back.value().encode() == wire);
+  }
+}
+
+static void origin_log_overwrite_and_compaction() {
+  // Re-recording a retained seq overwrites it in place: no second entry.
+  OriginLog log(4);
+  log.record(entry(1, "/dif/directory/a", 1, "first"));
+  log.record(entry(2, "/dif/directory/a", 2, "v"));
+  log.record(entry(1, "/dif/directory/a", 1, "second"));
+  CHECK(log.size() == 2);
+  CHECK(log.high() == 2);
+  auto one = log.collect(1, 1);
+  CHECK(one.size() == 1);
+  CHECK(to_string(BytesView{one.at(0).value}) == "second");
+
+  // seq 0 is never logged; an out-of-order seq inserts in place.
+  log.record(entry(0, "/dif/directory/a", 1, "repair"));
+  CHECK(log.size() == 2);
+  log.record(entry(5, "/dif/directory/a", 5, "v"));
+  log.record(entry(3, "/dif/directory/a", 3, "v"));
+  log.record(entry(4, "/dif/directory/a", 4, "v"));  // full: evicts 1
+  CHECK(log.size() == 4);
+  CHECK(!log.has(1));
+  CHECK(log.floor() == 2);
+  CHECK(log.can_serve(2, 5));
+
+  // A seq older than everything retained, arriving at a full log, is
+  // recorded and immediately evicted as the oldest.
+  log.record(entry(1, "/dif/directory/a", 1, "late"));
+  CHECK(log.size() == 4);
+  CHECK(!log.has(1));
+  CHECK(log.floor() == 2);
+
+  // A long in-order run keeps exactly the last `cap` entries, in order,
+  // across many evictions and front compactions.
+  OriginLog run(4);
+  for (std::uint64_t s = 1; s <= 1000; ++s)
+    run.record(entry(s, "/dif/directory/a", s, std::to_string(s)));
+  CHECK(run.size() == 4);
+  CHECK(run.floor() == 997);
+  CHECK(!run.has(996));
+  CHECK(run.can_serve(997, 1000));
+  auto tail = run.collect(1, 1000);
+  CHECK(tail.size() == 4);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    CHECK(tail[i].seq == 997 + i);
+    CHECK(to_string(BytesView{tail[i].value}) == std::to_string(997 + i));
+  }
 }
 
 static void snapshot_fallback_covers_lost_history() {
@@ -338,6 +415,8 @@ int main() {
   versioned_apply_never_regresses();
   codecs_roundtrip();
   origin_log_gap_and_eviction();
+  delta_reencode_is_identity();
+  origin_log_overwrite_and_compaction();
   snapshot_fallback_covers_lost_history();
   digest_exchange_minimal_repair();
   fingerprint_matches_iff_windows_equal();
