@@ -24,6 +24,7 @@ constexpr const char* kClsJoinAccept = "JoinAccept";
 constexpr const char* kClsJoinReject = "JoinReject";
 constexpr const char* kClsBye = "Bye";
 constexpr const char* kClsLsu = "LSU";
+constexpr const char* kClsLsdbSync = "LsdbSync";  // snapshot to a new peer
 constexpr const char* kClsDirUpd = "DirUpd";
 constexpr const char* kClsDirSync = "DirSync";
 constexpr const char* kClsDirEntry = "DirEntry";  // replicated rib object
@@ -88,6 +89,33 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 void put_addr(BufWriter& w, naming::Address a) { w.put_u32(a.key()); }
 
+/// One LSU record: (origin, seq, neighbor list). It is an LSU's value
+/// and, concatenated, an LSDB snapshot.
+void put_lsu(BufWriter& w, naming::Address origin, std::uint64_t seq,
+             const std::vector<naming::Address>& neighbors) {
+  put_addr(w, origin);
+  w.put_u64(seq);
+  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
+  for (auto n : neighbors) put_addr(w, n);
+}
+
+Bytes lsu_value(naming::Address origin, std::uint64_t seq,
+                const std::vector<naming::Address>& neighbors) {
+  BufWriter w(16 + 4 * neighbors.size());
+  put_lsu(w, origin, seq, neighbors);
+  return std::move(w).take();
+}
+
+rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
+                         const std::vector<naming::Address>& neighbors) {
+  rib::RiepMessage m;
+  m.op = rib::RiepOp::write;
+  m.obj_name = "/routing/lsu/" + origin.to_string();
+  m.obj_class = kClsLsu;
+  m.value = lsu_value(origin, seq, neighbors);
+  return m;
+}
+
 /// Management messages enter the datapath as headroomed Packets so the
 /// PCI (and any lower DIFs' PCIs on stacked paths) prepend in place.
 Packet mgmt_payload(const rib::RiepMessage& m) {
@@ -121,6 +149,15 @@ naming::Address get_addr(BufReader& r) {
   std::uint32_t k = r.get_u32();
   return naming::Address{static_cast<std::uint16_t>(k >> 16),
                          static_cast<std::uint16_t>(k & 0xFFFF)};
+}
+
+/// The neighbor list that ends an LSU record (put_lsu).
+std::vector<naming::Address> get_neighbors(BufReader& r) {
+  std::uint16_t n = r.get_u16();
+  std::vector<naming::Address> out;
+  out.reserve(n);
+  for (std::uint16_t i = 0; i < n && r.ok(); ++i) out.push_back(get_addr(r));
+  return out;
 }
 
 void put_app(BufWriter& w, const naming::AppName& a) {
@@ -183,6 +220,12 @@ void Ipcp::bootstrap_member(naming::Address addr) {
 
 std::uint64_t Ipcp::auth_token(std::uint64_t nonce) const {
   return splitmix64(nonce ^ fnv1a(cfg_.auth_secret));
+}
+
+bool Ipcp::ports_paired() const {
+  for (const Port& p : ports_)
+    if (p.carrier && !p.peer_enrolled) return false;
+  return true;
 }
 
 bool Ipcp::port_up(relay::PortIndex idx) const {
@@ -387,9 +430,10 @@ void Ipcp::send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m) {
 void Ipcp::send_mgmt_wire(relay::PortIndex idx, const std::string& cls,
                           const Bytes& wire) {
   if (idx >= ports_.size()) return;
+  const bool keepalive = cls == kClsKeepAlive;
   if (cls == kClsHello) {
     ++*c_hellos_sent_;
-  } else if (cls == kClsKeepAlive) {
+  } else if (keepalive) {
     ++*c_keepalives_sent_;
   } else if (cls == kClsLsu) {
     ++*c_lsus_flooded_;
@@ -403,7 +447,11 @@ void Ipcp::send_mgmt_wire(relay::PortIndex idx, const std::string& cls,
   pdu.pci.dest = naming::Address{};  // port-local
   pdu.payload = Packet::with_headroom(kDefaultHeadroom, BytesView{wire});
   *c_mgmt_bytes_ += pdu.payload.view().size();
-  rmt_.egress(idx, std::move(pdu));
+  const bool dropped = !rmt_.egress(idx, std::move(pdu));
+  if (!keepalive) {
+    ++mgmt_sent_;
+    if (dropped) ++mgmt_dropped_;
+  }
 }
 
 void Ipcp::send_routed_mgmt(naming::Address dest, const rib::RiepMessage& m) {
@@ -435,6 +483,7 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
       return;
     }
   }
+  ++mgmt_received_;
   auto decoded = rib::RiepMessage::decode(pdu.payload.view());
   if (!decoded.ok()) {
     rmt_.stats_.inc("drop_decode");
@@ -459,6 +508,8 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
     handle_bye(idx);
   } else if (cls == kClsLsu) {
     handle_lsu(idx, m);
+  } else if (cls == kClsLsdbSync) {
+    handle_lsdb_sync(idx, m);
   } else if (cls == kClsDirUpd) {
     handle_dir_update(idx, m);
   } else if (cls == kClsDirSync) {
@@ -494,12 +545,16 @@ void Ipcp::handle_hello(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (changed) {
     // A fresh adjacency: hand the peer what the flood could not have
     // reached it with. Under delta sync that is a digest (the peer pulls
-    // just what differs); under hierarchical naming there is no
-    // replicated directory to reconcile at all.
-    if (cfg_.rib_delta_sync)
+    // just what differs, LSUs included). Otherwise it is the LSDB — an
+    // LSU flooded before this wire came up never crossed it — and, unless
+    // naming is hierarchical (nothing replicated to reconcile), the
+    // directory.
+    if (cfg_.rib_delta_sync) {
       send_port_digest(idx);
-    else if (!cfg_.dir_hierarchical)
-      send_dir_sync(idx);
+    } else {
+      send_lsdb_sync(idx);
+      if (!cfg_.dir_hierarchical) send_dir_sync(idx);
+    }
     adjacency_changed();
   }
 }
@@ -567,23 +622,15 @@ void Ipcp::originate_lsu() {
   lsdb_[address_] = LsuRecord{lsu_seq_, neighbors};
   stats_.inc("lsus_originated");
 
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/routing/lsu/" + address_.to_string();
-  m.obj_class = kClsLsu;
-  BufWriter w(16 + 4 * neighbors.size());
-  put_addr(w, address_);
-  w.put_u64(lsu_seq_);
-  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
-  for (auto n : neighbors) put_addr(w, n);
-  m.value = std::move(w).take();
+  rib::RiepMessage m = lsu_msg(address_, lsu_seq_, neighbors);
   if (cfg_.rib_delta_sync) {
     // The LSU's own sequence number doubles as the replicated object's
     // version; dissemination is a logged delta, not a full-value flood.
     (void)rib_.upsert_versioned(m.obj_name, m.obj_class, m.value, lsu_seq_);
     disseminate_delta(m.obj_name, m.obj_class, std::move(m.value), lsu_seq_);
   } else {
-    rib_.upsert(m.obj_name, m.obj_class, m.value);
+    // Flooded LSUs live in the LSDB alone: no RIB copy, since only
+    // delta sync reads LSUs back out of the RIB.
     flood(m, std::nullopt);
   }
   schedule_spf();
@@ -598,6 +645,51 @@ void Ipcp::flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> exce
   }
 }
 
+std::uint16_t Ipcp::put_lsdb(BufWriter& w) {
+  std::uint16_t n = 0;
+  for (const auto& [origin, rec] : lsdb_) {
+    if (w.size() > kSnapshotBudget / 2) {
+      stats_.inc("snapshot_truncated");
+      break;
+    }
+    put_lsu(w, origin, rec.seq, rec.neighbors);
+    ++n;
+  }
+  return n;
+}
+
+void Ipcp::send_lsdb_sync(relay::PortIndex idx) {
+  if (lsdb_.empty()) return;
+  rib::RiepMessage m;
+  m.op = rib::RiepOp::write;
+  m.obj_name = "/routing/lsdb";
+  m.obj_class = kClsLsdbSync;
+  BufWriter body(256);
+  std::uint16_t n = put_lsdb(body);
+  BufWriter w(2 + body.size());
+  w.put_u16(n);
+  w.put_bytes(BytesView{std::move(body).take()});
+  m.value = std::move(w).take();
+  send_mgmt(idx, m);
+}
+
+void Ipcp::handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
+  // Each record newer than ours is taken exactly as an LSU heard on this
+  // port would be — installed, re-flooded to the other ports, SPF
+  // scheduled — so the rest of our side of the new wire learns it too.
+  BufReader r(BytesView{m.value});
+  std::uint16_t n = r.get_u16();
+  for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
+    naming::Address origin = get_addr(r);
+    std::uint64_t seq = r.get_u64();
+    std::vector<naming::Address> neighbors = get_neighbors(r);
+    if (!r.ok() || origin.is_null() || origin == address_) continue;
+    auto it = lsdb_.find(origin);
+    if (it != lsdb_.end() && seq <= it->second.seq) continue;
+    handle_lsu(idx, lsu_msg(origin, seq, neighbors));
+  }
+}
+
 void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
   ++lazy_cell(c_lsus_received_, "lsus_received");
   BufReader r(BytesView{m.value});
@@ -607,7 +699,7 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (origin == address_) return;
   // Duplicate guard *before* the (larger) neighbor-list decode: a
   // byte-identical re-flood is recognized from (origin, seq) alone and
-  // never re-floods, never touches the RIB, never schedules SPF.
+  // never re-floods, never schedules SPF.
   {
     auto lit = lsdb_.find(origin);
     if (lit != lsdb_.end() && seq <= lit->second.seq &&
@@ -616,24 +708,13 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
       return;  // stale or duplicate
     }
   }
-  std::uint16_t n = r.get_u16();
-  std::vector<naming::Address> neighbors;
-  neighbors.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(r));
+  std::vector<naming::Address> neighbors = get_neighbors(r);
   if (!r.ok()) return;
   auto& rec = lsdb_[origin];
   if (use_incremental_spf())
     note_lsu_edge_changes(origin, rec.neighbors, neighbors);
   rec.seq = seq;
   rec.neighbors = std::move(neighbors);
-  const std::string name = "/routing/lsu/" + origin.to_string();
-  if (cfg_.rib_delta_sync) {
-    // Delta mode: the LSU's own sequence number is the replicated
-    // object's version, so every member agrees on digests.
-    (void)rib_.upsert_versioned(name, kClsLsu, m.value, seq);
-  } else {
-    rib_.upsert(name, kClsLsu, m.value);
-  }
   flood(m, idx);
   schedule_spf();
 }
@@ -882,18 +963,7 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   // LSDB snapshot: the joiner must see the DIF's topology, not just us —
   // link-state floods only carry *changes*.
   BufWriter lsu_w(256);
-  std::uint16_t nlsu = 0;
-  for (const auto& [origin, rec] : lsdb_) {
-    if (lsu_w.size() > kSnapshotBudget / 2) {
-      stats_.inc("snapshot_truncated");
-      break;
-    }
-    put_addr(lsu_w, origin);
-    lsu_w.put_u64(rec.seq);
-    lsu_w.put_u16(static_cast<std::uint16_t>(rec.neighbors.size()));
-    for (auto nb : rec.neighbors) put_addr(lsu_w, nb);
-    ++nlsu;
-  }
+  std::uint16_t nlsu = put_lsdb(lsu_w);
   BufWriter w(16 + dir_w.size() + lsu_w.size());
   put_addr(w, assigned);
   put_addr(w, address_);
@@ -921,10 +991,7 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
     naming::Address origin = get_addr(r);
     std::uint64_t seq = r.get_u64();
-    std::uint16_t nn = r.get_u16();
-    std::vector<naming::Address> neighbors;
-    neighbors.reserve(nn);
-    for (std::uint16_t k = 0; k < nn; ++k) neighbors.push_back(get_addr(r));
+    std::vector<naming::Address> neighbors = get_neighbors(r);
     if (!r.ok()) break;
     auto& rec = lsdb_[origin];
     if (seq > rec.seq) {
@@ -933,13 +1000,9 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
       if (cfg_.rib_delta_sync) {
         // Seed the replica too, or the first anti-entropy round would
         // re-pull everything the snapshot already carried.
-        BufWriter lw(16 + 4 * rec.neighbors.size());
-        put_addr(lw, origin);
-        lw.put_u64(seq);
-        lw.put_u16(static_cast<std::uint16_t>(rec.neighbors.size()));
-        for (auto nb : rec.neighbors) put_addr(lw, nb);
         (void)rib_.upsert_versioned("/routing/lsu/" + origin.to_string(),
-                                    kClsLsu, std::move(lw).take(), seq);
+                                    kClsLsu,
+                                    lsu_value(origin, seq, rec.neighbors), seq);
       }
     }
   }
@@ -1405,10 +1468,7 @@ bool Ipcp::apply_replicated(const rib::DeltaEntry& e) {
     BufReader r(BytesView{e.value});
     naming::Address origin = get_addr(r);
     std::uint64_t seq = r.get_u64();
-    std::uint16_t n = r.get_u16();
-    std::vector<naming::Address> neighbors;
-    neighbors.reserve(n);
-    for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(r));
+    std::vector<naming::Address> neighbors = get_neighbors(r);
     if (r.ok() && !origin.is_null() && origin != address_) {
       auto& rec = lsdb_[origin];
       if (seq > rec.seq) {
@@ -1733,7 +1793,7 @@ std::uint8_t Rmt::class_priority(efcp::QosId q) const {
   return q;
 }
 
-void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
+bool Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   Ipcp::Port& p = self_.ports_[port];
   std::uint8_t prio = class_priority(pdu.pci.qos_id);
   // Congestion is detected where the resource lives: a class queue past
@@ -1747,7 +1807,7 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   if (p.queue.full(prio)) {
     p.queue.note_drop(prio);
     stats_.inc("rmt_drops");
-    return;
+    return false;
   }
   if (pdu.pci.type == efcp::PduType::data && p.queue.should_mark(prio)) {
     pdu.pci.flags |= efcp::kFlagEcn;
@@ -1757,15 +1817,16 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   // place; queueing and drain retries reuse the same frame.
   Packet frame = std::move(pdu).encode_packet();
   if (p.queue.empty()) {
-    if (p.tx(frame)) return;
+    if (p.tx(frame)) return true;
   }
   if (!p.queue.push(prio, frame)) {
     stats_.inc("rmt_drops");
-    return;
+    return false;
   }
   if (std::uint64_t pk = p.queue.peak(); pk > *c_rmt_queue_peak_)
     *c_rmt_queue_peak_ = pk;
   schedule_drain(port);
+  return true;
 }
 
 void Rmt::schedule_drain(relay::PortIndex port) {

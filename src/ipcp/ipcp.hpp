@@ -84,8 +84,9 @@ class Rmt {
   /// and by attackers with a wire — exactly why ingress gates ports).
   Result<void> egress_via(relay::PortIndex port, efcp::Pdu&& pdu);
 
-  /// Queue on a port, honoring the DIF's scheduling discipline.
-  void egress(relay::PortIndex port, efcp::Pdu&& pdu);
+  /// Queue on a port, honoring the DIF's scheduling discipline. False =
+  /// the class queue was full and the PDU was tail-dropped.
+  bool egress(relay::PortIndex port, efcp::Pdu&& pdu);
   void drain(relay::PortIndex port);
 
   /// Would a PDU to `dest` in class `qos` clear the egress queue right
@@ -310,6 +311,22 @@ class Ipcp {
   [[nodiscard]] bool port_up(relay::PortIndex idx) const;
   [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
 
+  // ---- bring-up progress (Network reads these between windows) ----
+  /// Port-local management PDUs other than keepalives: handed to the
+  /// RMT, arrived here, and tail-dropped by this RMT. Summed over a
+  /// DIF's members, sent == received + dropped means none is in flight.
+  [[nodiscard]] std::uint64_t mgmt_sent() const { return mgmt_sent_; }
+  [[nodiscard]] std::uint64_t mgmt_received() const { return mgmt_received_; }
+  [[nodiscard]] std::uint64_t mgmt_dropped() const { return mgmt_dropped_; }
+  /// An LSU origination or an SPF run is waiting out its debounce.
+  [[nodiscard]] bool routing_pending() const {
+    return lsu_timer_.armed() || spf_timer_.armed();
+  }
+  /// Every port with carrier has an enrolled peer.
+  [[nodiscard]] bool ports_paired() const;
+  /// Link-state records held, this member's own included.
+  [[nodiscard]] std::size_t lsdb_size() const { return lsdb_.size(); }
+
   // ---- membership ----
   Result<void> enroll_via(relay::PortIndex idx);
   void leave(bool teardown_flows);
@@ -426,6 +443,11 @@ class Ipcp {
   void schedule_spf();
   void originate_lsu();
   void flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
+  /// LSDB snapshot (join accept, fresh adjacency): records appended to
+  /// `w` up to the snapshot budget; returns how many.
+  std::uint16_t put_lsdb(BufWriter& w);
+  void send_lsdb_sync(relay::PortIndex idx);
+  void handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m);
   void run_spf();
   void run_spf_incremental();
   [[nodiscard]] bool use_incremental_spf() const {
@@ -475,6 +497,10 @@ class Ipcp {
   std::uint64_t* c_lsus_dup_suppressed_ = nullptr;
   std::uint64_t* c_deltas_received_ = nullptr;
   std::uint64_t* c_deltas_dup_suppressed_ = nullptr;
+  // Plain counters behind mgmt_sent()/mgmt_received()/mgmt_dropped().
+  std::uint64_t mgmt_sent_ = 0;
+  std::uint64_t mgmt_received_ = 0;
+  std::uint64_t mgmt_dropped_ = 0;
 
   Rmt rmt_;
   FlowAllocator fa_;

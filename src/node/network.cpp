@@ -394,9 +394,10 @@ Result<void> Network::build_link_dif(DifSpec spec) {
 
   // Wire every member-to-member link (parallel links => parallel PoAs)
   // and exchange greetings.
-  std::set<std::string> member_set(spec.members.begin(), spec.members.end());
+  std::map<std::string, std::size_t> ports;
+  for (const auto& m : spec.members) ports[m] = 0;
   for (auto& rec : links_) {
-    if (member_set.count(rec->a) == 0 || member_set.count(rec->b) == 0) continue;
+    if (ports.count(rec->a) == 0 || ports.count(rec->b) == 0) continue;
     if (rec->find_attach_side(0, entry.id) != nullptr) continue;
     auto* pa = node(rec->a).ipcp(spec.cfg.name);
     auto* pb = node(rec->b).ipcp(spec.cfg.name);
@@ -404,11 +405,46 @@ Result<void> Network::build_link_dif(DifSpec spec) {
     relay::PortIndex ib = wire_port(*rec, 1, *pb);
     pa->start_port(ia);
     pb->start_port(ib);
+    ++ports[rec->a];
+    ++ports[rec->b];
   }
   // Build is a bootstrap: run the exchange (hellos, LSU flood, SPF) so
   // the DIF is ready for service when this returns.
-  run_for(SimTime::from_ms(100));
+  settle(spec.cfg.name, ports, SimTime::from_ms(100));
   return Ok();
+}
+
+// A build ends when the DIF's own management has gone quiet, not after
+// a fixed time: the clock is shared, so a fixed run would replay every
+// other DIF's keepalives once per build. Quiet means every member is
+// enrolled and has all its ports, every port with carrier has an
+// enrolled peer, no LSU or SPF debounce is armed, and no management PDU
+// other than a keepalive is in flight. The check is O(members) and runs
+// between steps on the driver thread, never per event. A DIF that never
+// goes quiet (a lossy wire, an unanswered hello) runs to `cap`, exactly
+// as a fixed run would.
+void Network::settle(const naming::DifName& dif,
+                     const std::map<std::string, std::size_t>& ports,
+                     SimTime cap) {
+  std::vector<std::pair<const ipcp::Ipcp*, std::size_t>> members;
+  for (const auto& [name, want] : ports)
+    members.emplace_back(node(name).ipcp(dif), want);
+  auto quiet = [&members] {
+    std::uint64_t sent = 0, done = 0;
+    for (const auto& [proc, want] : members) {
+      if (!proc->enrolled() || proc->port_count() < want ||
+          !proc->ports_paired() || proc->routing_pending())
+        return false;
+      sent += proc->mgmt_sent();
+      done += proc->mgmt_received() + proc->mgmt_dropped();
+    }
+    return sent == done;
+  };
+  const SimTime deadline = now() + cap;
+  while (now() < deadline) {
+    run_for(std::min(sim::kPollStep, deadline - now()));
+    if (quiet()) return;
+  }
 }
 
 naming::AppName Network::overlay_app(const naming::DifName& dif,
@@ -560,14 +596,18 @@ Result<void> Network::build_overlay_dif(DifSpec spec, std::vector<OverlayAdj> ad
     auto rb = register_overlay_member(spec.cfg.name, adj.b, adj.lower);
     if (!rb.ok()) return rb;
   }
+  std::map<std::string, std::size_t> ports;
+  for (const auto& m : spec.members) ports[m] = 0;
   for (const auto& adj : adjs) {
     auto rc = connect_overlay_members(spec.cfg.name, adj);
     if (!rc.ok()) return rc;
+    ++ports[adj.a];
+    ++ports[adj.b];
   }
-  // Let the lower flows come up and the overlay's routing converge. The
-  // slowest path is a directory-miss retry (100 ms) before the lower
-  // flow allocation, then LSU flood + debounced SPF.
-  run_for(SimTime::from_ms(400));
+  // Let the lower flows come up and the overlay's routing converge: each
+  // adjacency's lower flow allocation (directory polls, request,
+  // response), then hellos, LSU flood and debounced SPF.
+  settle(spec.cfg.name, ports, SimTime::from_ms(400));
   return Ok();
 }
 

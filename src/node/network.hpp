@@ -205,9 +205,12 @@ class Network {
   Result<void> set_link_state(const std::string& a, const std::string& b, bool up);
 
   /// Build a rank-0 DIF directly over the wires among its members.
+  /// Returns once the DIF's bring-up has gone quiet (see settle), or
+  /// after 100 ms of simulated time if it never does.
   Result<void> build_link_dif(DifSpec spec);
 
   /// Build a DIF whose neighbor attachments are flows in lower DIFs.
+  /// Returns once the DIF has gone quiet, or after 400 ms.
   Result<void> build_overlay_dif(DifSpec spec, std::vector<OverlayAdj> adjs);
 
   /// Register `node_name`'s IPC process of `dif` as an application in
@@ -315,6 +318,11 @@ class Network {
                                      flow::PortId lower_port);
   static naming::AppName overlay_app(const naming::DifName& dif,
                                      const std::string& node_name);
+  /// End a DIF build: run in sim::kPollStep steps until the DIF is
+  /// quiescent or `cap` has passed. `ports` maps each member to the
+  /// number of ports the build gives it.
+  void settle(const naming::DifName& dif,
+              const std::map<std::string, std::size_t>& ports, SimTime cap);
 
   sim::Scheduler sched_;
   // Sharded driver, engaged by enable_sharding. Declared before nodes_

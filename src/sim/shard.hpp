@@ -11,7 +11,9 @@
 // t_k + L — never inside the window a neighbor is concurrently
 // executing. Draining boundary rings at window starts therefore never
 // violates causality. With no cross-shard links the lookahead is
-// infinite and a run is a single window per run_* call.
+// infinite and run_until/run_for make a single window per call;
+// run_until_pred caps each window at kPollStep so its predicate is
+// seen within one step of turning true.
 //
 // Cross-shard PDUs travel in fixed-capacity SPSC rings, one per link
 // direction (producer: the sending shard; consumer: the receiving
@@ -65,6 +67,11 @@
 #include "sim/time.hpp"
 
 namespace rina::sim {
+
+/// The simulated-time grain at which a pending predicate is polled:
+/// ShardedScheduler::run_until_pred's longest window, and the step in
+/// which a DIF's bring-up checks whether its management went quiet.
+inline constexpr SimTime kPollStep = SimTime::from_ms(1);
 
 /// One PDU crossing a shard boundary.
 struct CrossEntry {
@@ -208,14 +215,15 @@ class ShardedScheduler {
   /// Run windows until pred() holds or the clock reaches deadline. The
   /// predicate is evaluated on the driver thread at window boundaries
   /// only (shard state is unreadable mid-window), so it resolves with
-  /// one-window granularity.
+  /// one-window granularity — at most kPollStep, even when the lookahead
+  /// is longer or infinite.
   template <typename Pred>
   bool run_until_pred(Pred&& pred, SimTime deadline) {
     if (pred()) return true;
+    const SimTime step = lookahead_ < kPollStep ? lookahead_ : kPollStep;
     while (now_ < deadline) {
       SimTime wend = deadline;
-      if (lookahead_.ns != kInfiniteNs && now_ + lookahead_ < deadline)
-        wend = now_ + lookahead_;
+      if (now_ + step < deadline) wend = now_ + step;
       ++window_;
       dispatch_window(wend);
       now_ = wend;

@@ -215,6 +215,38 @@ std::string network_digest(int threads) {
   return d;
 }
 
+// ---------------------------------------------------------------------
+// No cross-shard link, so the lookahead is infinite. run_until must
+// still poll its predicate every sim::kPollStep rather than run one
+// window to the deadline: a predicate that turns true at 10.3 ms ends
+// the call within one step of it, at every worker count.
+std::string no_cross_poll_digest(int threads) {
+  node::Network net(9);
+  net.enable_sharding(4, threads);
+  for (int s = 0; s < 4; ++s) {
+    std::string a = "n" + std::to_string(s) + "a", b = "n" + std::to_string(s) + "b";
+    net.assign_shard(a, s);
+    net.assign_shard(b, s);
+    net.add_link(a, b);
+    node::DifSpec spec;
+    spec.cfg.name = naming::DifName{"d" + std::to_string(s)};
+    spec.cfg.keepalive_enabled = true;  // events on every shard throughout
+    spec.members = {a, b};
+    if (!net.build_link_dif(spec).ok()) std::abort();
+  }
+  const SimTime start = net.now();
+  const SimTime fire_at = start + SimTime::from_us(10300);
+  bool fired = false;  // written on shard 2, read between windows
+  sim::Timer t = net.node("n2a").sched().schedule_at(fire_at, [&] { fired = true; });
+  bool ok = net.run_until([&] { return fired; }, SimTime::from_sec(1));
+  CHECK(ok);
+  CHECK(net.now() >= fire_at);
+  CHECK(net.now() < fire_at + sim::kPollStep);
+  return "t=" + std::to_string((net.now() - start).ns) +
+         ",ev=" + std::to_string(net.events_executed()) +
+         ",win=" + std::to_string(net.sharded_sched()->windows());
+}
+
 void check_basics() {
   // One cross frame, start to finish: pushed in window k, delivered at
   // send + serialization + delay on the far shard.
@@ -270,6 +302,10 @@ int main() {
   CHECK(s1 == ring_steady_state_digest(2));
   CHECK(s1 == ring_steady_state_digest(2));  // rerun at 2 threads
   CHECK(s1 == ring_steady_state_digest(1));  // rerun single-threaded
+
+  std::string p1 = no_cross_poll_digest(1);
+  CHECK(p1 == no_cross_poll_digest(2));
+  CHECK(p1 == no_cross_poll_digest(4));
 
   std::string n1 = network_digest(1);
   CHECK(n1 == network_digest(2));
