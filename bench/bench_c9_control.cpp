@@ -39,13 +39,6 @@ namespace {
 
 constexpr const char* kDif = "ctl";
 
-std::uint64_t splitmix64(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 enum class Mode { flat, delta, hier };
 
 const char* mode_name(Mode m) {
@@ -146,7 +139,7 @@ Out run_point(const Shape& s, Mode mode) {
   auto svc = [](int i) { return naming::AppName{"svc" + std::to_string(i)}; };
   for (int i = 0; i < apps; ++i) {
     home[i] = {i % s.regions,
-               1 + static_cast<int>(splitmix64(rng) %
+               1 + static_cast<int>(splitmix64_next(rng) %
                                     static_cast<std::uint64_t>(s.per_region - 1))};
     if (!net.node(home_node(home[i])).register_app(svc(i), dif, sink).ok())
       std::abort();
@@ -162,15 +155,15 @@ Out run_point(const Shape& s, Mode mode) {
   std::uint64_t bytes0 = net.sum_dif_counter(dif, "mgmt_bytes_sent");
   int last_app = 0;
   for (std::uint64_t e = 0; e < dir_events; ++e) {
-    int i = static_cast<int>(splitmix64(rng) % static_cast<std::uint64_t>(apps));
+    int i = static_cast<int>(splitmix64_next(rng) % static_cast<std::uint64_t>(apps));
     last_app = i;
     if (!net.node(home_node(home[i])).ipcp(dif)->fa().unregister_app(svc(i)).ok())
       std::abort();
     net.run_for(SimTime::from_ms(30));
     Home next = home[i];
-    next.region = static_cast<int>(splitmix64(rng) %
+    next.region = static_cast<int>(splitmix64_next(rng) %
                                    static_cast<std::uint64_t>(s.regions));
-    next.idx = 1 + static_cast<int>(splitmix64(rng) %
+    next.idx = 1 + static_cast<int>(splitmix64_next(rng) %
                                     static_cast<std::uint64_t>(s.per_region - 1));
     home[i] = next;
     if (!net.node(home_node(next)).register_app(svc(i), dif, sink).ok())
@@ -218,9 +211,9 @@ Out run_point(const Shape& s, Mode mode) {
   std::uint64_t vtx0 = net.sum_dif_counter(dif, "spf_vertices_recomputed");
   std::uint64_t spf0 = net.sum_dif_counter(dif, "spf_runs");
   for (std::uint64_t e = 0; e < flap_events; ++e) {
-    int r = static_cast<int>(splitmix64(rng) %
+    int r = static_cast<int>(splitmix64_next(rng) %
                              static_cast<std::uint64_t>(s.regions));
-    int m = 1 + static_cast<int>(splitmix64(rng) %
+    int m = 1 + static_cast<int>(splitmix64_next(rng) %
                                  static_cast<std::uint64_t>(s.per_region - 1));
     (void)net.set_link_state(anchor(r), spoke(r, m), false);
     net.run_for(SimTime::from_ms(60));
@@ -250,7 +243,7 @@ Out run_point(const Shape& s, Mode mode) {
   for (int k = 0; k < 12; ++k) {
     int i = k % 3 == 2
                 ? prev_target
-                : static_cast<int>(splitmix64(rng) %
+                : static_cast<int>(splitmix64_next(rng) %
                                    static_cast<std::uint64_t>(apps));
     prev_target = i;
     // A client two regions away from the app's home, on spoke 1.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/splitmix.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "node/network.hpp"
@@ -58,10 +59,7 @@ class ZipfGen {
 
   /// Next rank: 0 is the hottest object.
   std::uint64_t next() {
-    std::uint64_t x = state_ += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
+    std::uint64_t x = splitmix64_next(state_);
     // 53 uniform mantissa bits in [0, 1).
     double u = static_cast<double>(x >> 11) * 0x1.0p-53;
     auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);

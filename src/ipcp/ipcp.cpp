@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/splitmix.hpp"
 #include "content/protocol.hpp"
 
 namespace rina::ipcp {
@@ -78,13 +79,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 void put_addr(BufWriter& w, naming::Address a) { w.put_u32(a.key()); }
@@ -636,13 +630,18 @@ void Ipcp::originate_lsu() {
   schedule_spf();
 }
 
-void Ipcp::flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except) {
+std::size_t Ipcp::flood(const rib::RiepMessage& m,
+                        std::optional<relay::PortIndex> except) {
   const Bytes wire = m.encode();  // once per flood, not once per port
+  std::size_t sent = 0;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     auto idx = static_cast<relay::PortIndex>(i);
     if (except && *except == idx) continue;
-    if (usable(ports_[i])) send_mgmt_wire(idx, m.obj_class, wire);
+    if (!usable(ports_[i])) continue;
+    send_mgmt_wire(idx, m.obj_class, wire);
+    ++sent;
   }
+  return sent;
 }
 
 std::uint16_t Ipcp::put_lsdb(BufWriter& w) {
@@ -1414,7 +1413,7 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
 // cfg.rib_delta_sync: replicated mutations travel as sequence-numbered
 // per-origin deltas (gap pulls on a hole, scoped snapshot when the hole
 // fell off the bounded log), and periodic anti-entropy digest rounds
-// sweep the namespace in sorted windows — the tentpole's RIB layer.
+// sweep the namespace in sorted windows.
 
 rib::RiepMessage Ipcp::sync_msg(const char* cls, Bytes value) {
   rib::RiepMessage m;
@@ -1437,13 +1436,18 @@ void Ipcp::disseminate_delta(const std::string& name, const std::string& cls,
   e.obj_class = cls;
   e.version = version;
   e.value = std::move(value);
+  rib::OriginLog& own = sync_.log(address_);
   rib::Delta d;
   d.origin = address_;
+  // Own entries that no port carried (originated while every wire was
+  // down) ride ahead of this one, so no member ever sees a hole in this
+  // origin's sequence, and nobody pulls what nobody but us holds.
+  if (sync_sent_ + 1 < e.seq) d.entries = own.collect(sync_sent_ + 1, e.seq - 1);
   d.entries.push_back(std::move(e));
   rib::RiepMessage m = sync_msg(kClsRibDelta, d.encode());
-  sync_.log(address_).record(std::move(d.entries.front()));
+  own.record(std::move(d.entries.back()));
   stats_.inc("deltas_originated");
-  flood(m, std::nullopt);
+  if (flood(m, std::nullopt) > 0) sync_sent_ = sync_seq_;
 }
 
 void Ipcp::disseminate_dir_delta(const naming::AppName& app, std::uint8_t op) {
@@ -1609,20 +1613,19 @@ void Ipcp::handle_rib_pull(relay::PortIndex idx, const rib::RiepMessage& m) {
   }
   // My own dissemination log lives in sync_ too, so one lookup covers
   // pulls for my deltas and relayed ones alike.
-  const rib::OriginLog* log = sync_.find_log(pr.origin);
-  if (log != nullptr && log->can_serve(pr.from, pr.to)) {
+  rib::RangeAnswer ans = rib::answer_range_pull(sync_.find_log(pr.origin), pr.from, pr.to);
+  if (ans.snapshot) {
+    stats_.inc("snapshot_fallbacks");
+    rib::Delta snap = rib::build_snapshot(rib_, kSyncSnapshotEntries);
+    send_sync_msg(idx, kClsRibDelta, snap.encode());
+  } else if (!ans.entries.empty()) {
     rib::Delta d;
     d.origin = pr.origin;
-    d.entries = log->collect(pr.from, pr.to);
+    d.entries = std::move(ans.entries);
     // Served from the log these keep their seqs, but as a direct answer
     // (not a flood) the peer logs them without re-flooding loops: the
     // normal delta path handles that.
     send_sync_msg(idx, kClsRibDelta, d.encode());
-  } else {
-    // The range fell off the bounded log: full scoped snapshot fallback.
-    stats_.inc("snapshot_fallbacks");
-    rib::Delta snap = rib::build_snapshot(rib_, kSyncSnapshotEntries);
-    send_sync_msg(idx, kClsRibDelta, snap.encode());
   }
 }
 

@@ -326,6 +326,12 @@ class Ipcp {
   [[nodiscard]] bool ports_paired() const;
   /// Link-state records held, this member's own included.
   [[nodiscard]] std::size_t lsdb_size() const { return lsdb_.size(); }
+  /// Sequence number of `origin`'s link-state record held here (this
+  /// member's own included), 0 if none.
+  [[nodiscard]] std::uint64_t lsu_seq_of(naming::Address origin) const {
+    auto it = lsdb_.find(origin);
+    return it == lsdb_.end() ? 0 : it->second.seq;
+  }
 
   // ---- membership ----
   Result<void> enroll_via(relay::PortIndex idx);
@@ -442,7 +448,8 @@ class Ipcp {
   void adjacency_changed();
   void schedule_spf();
   void originate_lsu();
-  void flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
+  /// Send `m` on every usable port but `except`; returns how many.
+  std::size_t flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
   /// LSDB snapshot (join accept, fresh adjacency): records appended to
   /// `w` up to the snapshot budget; returns how many.
   std::uint16_t put_lsdb(BufWriter& w);
@@ -530,6 +537,7 @@ class Ipcp {
   // Delta sync state (cfg_.rib_delta_sync): per-origin logs + cursor.
   rib::SyncState sync_;
   std::uint64_t sync_seq_ = 0;  // my own dissemination sequence
+  std::uint64_t sync_sent_ = 0; // highest own seq a flood put on a port
   std::size_t sync_rr_ = 0;     // anti-entropy neighbor round-robin
   sim::Timer sync_timer_;
 

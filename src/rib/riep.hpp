@@ -16,9 +16,11 @@
 // actually differ (src/rib/sync.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -71,10 +73,18 @@ struct RiepMessage {
   }
 };
 
+/// Which RIB names replicate between members. Everything else (flow
+/// state, enrollment scratch) is member-local.
+inline bool replicated_scope(const std::string& name) {
+  return name.rfind("/dif/directory/", 0) == 0 ||
+         name.rfind("/routing/lsu/", 0) == 0;
+}
+
 /// One member's object store. Objects are (name, class, value); names are
 /// hierarchical by convention ("/dif/directory/<app>", "/routing/lsu/<addr>").
-/// Unordered storage — nothing needs ordered iteration here; consumers
-/// that want determinism (digests, snapshots) sort the names they emit.
+/// Lookups go through a hash map. The replicated names alone also sit in
+/// a sorted index, so digest windows and snapshots (src/rib/sync.hpp)
+/// walk names in order from a cursor instead of sorting the whole store.
 class Rib {
  public:
   struct Object {
@@ -83,10 +93,24 @@ class Rib {
     std::uint64_t version = 0;
   };
 
+  Rib() = default;
+  // The index points into objects_'s nodes, so a copy re-points it.
+  // (No move operations: a move copies, and a moved-from Rib could not
+  // keep a stale index.)
+  Rib(const Rib& o) : objects_(o.objects_) { rebuild_index(); }
+  Rib& operator=(const Rib& o) {
+    if (this != &o) {
+      objects_ = o.objects_;
+      rebuild_index();
+    }
+    return *this;
+  }
+
   Result<void> create(const std::string& name, std::string obj_class, Bytes value) {
     auto [it, inserted] =
         objects_.emplace(name, Object{std::move(obj_class), std::move(value), 1});
     if (!inserted) return {Err::already_exists, name};
+    index(it->first);
     return Ok();
   }
 
@@ -103,7 +127,7 @@ class Rib {
               const Bytes& value) {
     auto it = objects_.find(name);
     if (it == objects_.end()) {
-      objects_.emplace(name, Object{obj_class, value, 1});
+      index(objects_.emplace(name, Object{obj_class, value, 1}).first->first);
     } else {
       it->second.value = value;
       ++it->second.version;
@@ -119,7 +143,7 @@ class Rib {
                         const Bytes& value, std::uint64_t version) {
     auto it = objects_.find(name);
     if (it == objects_.end()) {
-      objects_.emplace(name, Object{obj_class, value, version});
+      index(objects_.emplace(name, Object{obj_class, value, version}).first->first);
       return true;
     }
     if (version <= it->second.version) return false;
@@ -146,7 +170,14 @@ class Rib {
   }
 
   Result<void> remove(const std::string& name) {
-    if (objects_.erase(name) == 0) return {Err::not_found, name};
+    auto it = objects_.find(name);
+    if (it == objects_.end()) return {Err::not_found, name};
+    if (replicated_scope(name)) {
+      const auto& idx = scoped_names();
+      scoped_.erase(std::lower_bound(idx.begin(), idx.end(), name, NameLess{}));
+      --sorted_;
+    }
+    objects_.erase(it);
     return Ok();
   }
 
@@ -156,8 +187,43 @@ class Rib {
     return objects_;
   }
 
+  /// Every replicated-scope name, sorted. Names inserted since the last
+  /// call are sorted and merged in here, so a burst of inserts (a
+  /// bring-up) costs one sort, and a quiet store costs nothing.
+  [[nodiscard]] const std::vector<const std::string*>& scoped_names() const {
+    if (sorted_ < scoped_.size()) {
+      auto mid = scoped_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+      std::sort(mid, scoped_.end(), NameLess{});
+      std::inplace_merge(scoped_.begin(), mid, scoped_.end(), NameLess{});
+      sorted_ = scoped_.size();
+    }
+    return scoped_;
+  }
+
+  /// Comparator for scoped_names(): by name, and against a bare name for
+  /// lower_bound / upper_bound.
+  struct NameLess {
+    bool operator()(const std::string* a, const std::string* b) const { return *a < *b; }
+    bool operator()(const std::string* a, const std::string& b) const { return *a < b; }
+    bool operator()(const std::string& a, const std::string* b) const { return a < *b; }
+  };
+
  private:
+  void index(const std::string& key) {
+    if (replicated_scope(key)) scoped_.push_back(&key);
+  }
+
+  void rebuild_index() {
+    scoped_.clear();
+    sorted_ = 0;
+    for (const auto& kv : objects_) index(kv.first);
+  }
+
   std::unordered_map<std::string, Object> objects_;
+  // Keys of the replicated objects (node-stable: unordered_map never
+  // moves an element). [0, sorted_) is sorted, the rest awaits a merge.
+  mutable std::vector<const std::string*> scoped_;
+  mutable std::size_t sorted_ = 0;
 };
 
 }  // namespace rina::rib

@@ -13,7 +13,10 @@
 //     exactly the missed range; when the requested range has fallen off
 //     the log floor the server falls back to a full scoped snapshot
 //     (a delta whose entries carry seq 0 — "repair" entries with no gap
-//     semantics);
+//     semantics). A range the server never received itself gets only
+//     what it holds (answer_range_pull); and an origin whose delta went
+//     out on no port sends it again with its next one, so a flap of an
+//     origin's only wire opens no hole anywhere;
 //   - periodic anti-entropy rounds exchange Digests — windows of sorted
 //     (name, version) pairs over the replicated namespace — and
 //     diff_digest turns a received window into the minimal repair: the
@@ -47,13 +50,6 @@
 #include "rib/riep.hpp"
 
 namespace rina::rib {
-
-/// Which RIB names replicate between members. Everything else (flow
-/// state, enrollment scratch) is member-local.
-inline bool replicated_scope(const std::string& name) {
-  return name.rfind("/dif/directory/", 0) == 0 ||
-         name.rfind("/routing/lsu/", 0) == 0;
-}
 
 // ------------------------------- deltas -------------------------------
 
@@ -188,24 +184,20 @@ inline std::uint64_t digest_fingerprint(const Digest& d) {
   return h;
 }
 
-/// Scoped names in (after, ...] sorted, capped at `budget` entries.
+/// Scoped names in (after, ...] sorted, capped at `budget` entries: a
+/// walk of the rib's sorted index from `after`, O(log N + budget).
 inline Digest build_digest(const Rib& rib, const std::string& after,
                            std::size_t budget) {
   Digest d;
   d.after = after;
-  std::vector<std::string> names;
-  for (const auto& [name, obj] : rib.objects()) {
-    (void)obj;
-    if (name > after && replicated_scope(name)) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-  d.exhausted = names.size() <= budget;
-  if (names.size() > budget) names.resize(budget);
-  d.entries.reserve(names.size());
-  for (auto& name : names) {
-    std::uint64_t v = rib.version_of(name);
-    d.entries.push_back(DigestEntry{std::move(name), v});
-  }
+  const auto& idx = rib.scoped_names();
+  auto it = std::upper_bound(idx.begin(), idx.end(), after, Rib::NameLess{});
+  const auto left = static_cast<std::size_t>(idx.end() - it);
+  d.exhausted = left <= budget;
+  const std::size_t n = std::min(left, budget);
+  d.entries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i, ++it)
+    d.entries.push_back(DigestEntry{**it, rib.version_of(**it)});
   return d;
 }
 
@@ -219,27 +211,24 @@ struct DigestDiff {
 /// same window the peer lacks (or has older) go to `push`.
 inline DigestDiff diff_digest(const Rib& rib, const Digest& d) {
   DigestDiff out;
+  std::vector<const std::string*> listed;
+  listed.reserve(d.entries.size());
   for (const auto& e : d.entries) {
+    listed.push_back(&e.name);
     std::uint64_t mine = rib.version_of(e.name);
     if (mine < e.version) out.want.push_back(e.name);
     else if (mine > e.version) out.push.push_back(e.name);
   }
+  std::sort(listed.begin(), listed.end(), Rib::NameLess{});
   // Local names inside the peer's window that the digest never listed:
   // the peer has no version at all — push them.
   const bool open_ended = d.exhausted;
   const std::string& upper = d.entries.empty() ? d.after : d.entries.back().name;
-  std::vector<std::string> local;
-  for (const auto& [name, obj] : rib.objects()) {
-    (void)obj;
-    if (!replicated_scope(name) || name <= d.after) continue;
-    if (!open_ended && name > upper) continue;
-    local.push_back(name);
-  }
-  std::sort(local.begin(), local.end());
-  for (auto& name : local) {
-    bool listed = std::any_of(d.entries.begin(), d.entries.end(),
-                              [&](const DigestEntry& e) { return e.name == name; });
-    if (!listed) out.push.push_back(std::move(name));
+  const auto& idx = rib.scoped_names();
+  for (auto it = std::upper_bound(idx.begin(), idx.end(), d.after, Rib::NameLess{});
+       it != idx.end() && (open_ended || **it <= upper); ++it) {
+    if (!std::binary_search(listed.begin(), listed.end(), **it, Rib::NameLess{}))
+      out.push.push_back(**it);
   }
   std::sort(out.push.begin(), out.push.end());
   out.push.erase(std::unique(out.push.begin(), out.push.end()), out.push.end());
@@ -384,6 +373,30 @@ class OriginLog {
   std::vector<DeltaEntry> entries_;  // sorted by seq
 };
 
+/// How a member answers a seq-range pull for one origin, given its log
+/// for that origin (null if it has none).
+struct RangeAnswer {
+  bool snapshot = false;           // the range fell below the log floor
+  std::vector<DeltaEntry> entries; // else: the logged entries it holds
+};
+
+/// A full scoped snapshot answers only a range that fell below the log's
+/// floor: that history is gone for good. A range this member never
+/// received itself (a hole in its log, or above high()) gets the logged
+/// entries it does hold, possibly none: a snapshot would not hold the
+/// missing entries either, and anti-entropy repairs the objects.
+inline RangeAnswer answer_range_pull(const OriginLog* log, std::uint64_t from,
+                                     std::uint64_t to) {
+  RangeAnswer a;
+  if (log == nullptr || from == 0 || to < from) return a;
+  if (from < log->floor()) {
+    a.snapshot = true;
+    return a;
+  }
+  a.entries = log->collect(from, to);
+  return a;
+}
+
 /// Per-member sync state: one OriginLog per origin plus the digest
 /// cursor for the member's own anti-entropy sweep.
 class SyncState {
@@ -415,22 +428,16 @@ class SyncState {
 };
 
 /// Full scoped snapshot as a repair delta (every entry seq 0), for the
-/// too-far-behind fallback. Sorted by name for determinism.
+/// too-far-behind fallback: the first `max_entries` names of the rib's
+/// sorted index, so the snapshot is deterministic.
 inline Delta build_snapshot(const Rib& rib, std::size_t max_entries) {
   Delta d;  // origin stays null: pure repair
-  // Sort the scoped objects themselves (names are unique keys), so each
-  // entry is read once instead of looked up again by name.
-  using Item = const std::pair<const std::string, Rib::Object>*;
-  std::vector<Item> items;
-  for (const auto& kv : rib.objects())
-    if (replicated_scope(kv.first)) items.push_back(&kv);
-  std::sort(items.begin(), items.end(),
-            [](Item a, Item b) { return a->first < b->first; });
-  if (items.size() > max_entries) items.resize(max_entries);
-  d.entries.reserve(items.size());
-  for (Item it : items) {
-    const Rib::Object& o = it->second;
-    d.entries.push_back(DeltaEntry{0, it->first, o.obj_class, o.version, o.value});
+  const auto& idx = rib.scoped_names();
+  const std::size_t n = std::min(idx.size(), max_entries);
+  d.entries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Rib::Object& o = *rib.find(*idx[i]);
+    d.entries.push_back(DeltaEntry{0, *idx[i], o.obj_class, o.version, o.value});
   }
   return d;
 }
