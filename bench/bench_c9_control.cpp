@@ -6,11 +6,12 @@
 //   flat   — every registration/unregistration floods a DirUpd to all N
 //            members, every LSU floods everywhere and triggers a full
 //            Dijkstra at every member: cost ~ O(N) per event.
-//   delta  — rib_delta_sync + incremental_spf: dissemination is
-//            versioned per-origin deltas with anti-entropy digests as
-//            the repair path, and SPF repairs only affected subtrees
-//            (or skips entirely when a change touches no shortest
-//            path). Directory changes still reach every member.
+//   delta  — rib_delta_sync: dissemination is versioned per-origin
+//            deltas with anti-entropy digests as the repair path, and
+//            SPF (incremental in every delta-sync DIF) repairs only
+//            affected subtrees, or skips entirely when a change touches
+//            no shortest path. Directory changes still reach every
+//            member.
 //   hier   — delta plus dir_hierarchical: registrations go only to the
 //            resolver chain (region anchor -> root); members resolve by
 //            querying up and cache with a TTL; mobility invalidates
@@ -93,7 +94,6 @@ Out run_point(const Shape& s, Mode mode) {
   node::DifSpec spec = mk_dif(kDif, {});
   if (mode != Mode::flat) {
     spec.cfg.rib_delta_sync = true;
-    spec.cfg.incremental_spf = true;
     // Anti-entropy is the repair path, not the primary dissemination:
     // a deployment sweeps digests lazily. The defaults (200 ms / 64
     // entries) are tuned for the small unit-test DIFs.

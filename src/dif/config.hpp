@@ -83,11 +83,10 @@ struct DifConfig {
   std::size_t rib_log_entries = 64;    // per-origin delta log depth
   std::size_t rib_digest_budget = 64;  // (name, version) pairs per round
 
-  /// Incremental SPF: repair the previous shortest-path tree from the
-  /// edge deltas an LSU implies — skipping entirely when no changed
-  /// edge is on a current shortest path — instead of recomputing the
-  /// whole graph per event. (Ignored under aggregate_regions, which
-  /// needs the full per-region pass.)
+  /// No effect: SPF is incremental exactly when rib_delta_sync is on
+  /// (routing/link_state.hpp). Kept only because the benchmark's
+  /// churn_ctl workload (perfbench/src/churn_ctl.cpp) still assigns it;
+  /// it goes with the next change to the benchmark.
   bool incremental_spf = false;
 };
 

@@ -45,7 +45,6 @@ constexpr SimTime kHelloRetry = SimTime::from_ms(200);
 constexpr SimTime kJoinTimeout = SimTime::from_ms(600);
 constexpr SimTime kJoinRetryGap = SimTime::from_ms(120);
 constexpr SimTime kLsuDebounce = SimTime::from_ms(1);
-constexpr SimTime kSpfDebounce = SimTime::from_ms(8);
 constexpr SimTime kDrainRetry = SimTime::from_us(200);
 // Directory lookups are local to the IPCP's replica, so polling for an
 // entry (or for our own enrollment) costs nothing on the wire.
@@ -119,8 +118,8 @@ Packet mgmt_payload(const rib::RiepMessage& m) {
 
 /// The one keepalive message every node sends, pre-encoded. Keepalives
 /// carry no per-node state, so at scale re-running the RIEP encoder per
-/// port per tick is pure waste; both send_mgmt and handle_mgmt key off
-/// these exact bytes.
+/// port per tick is pure waste; keepalive_tick sends and handle_mgmt
+/// keys off these exact bytes.
 const Bytes& keepalive_wire() {
   static const Bytes wire = [] {
     rib::RiepMessage m;
@@ -130,13 +129,6 @@ const Bytes& keepalive_wire() {
     return m.encode();
   }();
   return wire;
-}
-
-/// True iff `m` is exactly the canonical keepalive keepalive_wire()
-/// encodes — the only shape keepalive_tick ever sends.
-bool is_canonical_keepalive(const rib::RiepMessage& m) {
-  return m.obj_class == kClsKeepAlive && m.op == rib::RiepOp::write &&
-         m.invoke_id == 0 && m.obj_name == "/dif/keepalive" && m.value.empty();
 }
 
 naming::Address get_addr(BufReader& r) {
@@ -166,6 +158,26 @@ naming::AppName get_app(BufReader& r) {
   return a;
 }
 
+/// A snapshot block (LSDB, directory): a u16 count, then `put` for each
+/// of `records` until the records pass `budget` bytes. Snapshots must
+/// fit the PCI's u16 payload length, so the rest is dropped and counted.
+template <typename Records, typename Put>
+void put_snapshot(BufWriter& w, const Records& records, std::size_t budget,
+                  Stats& stats, Put put) {
+  BufWriter body(256);
+  std::uint16_t n = 0;
+  for (const auto& [key, value] : records) {
+    if (body.size() > budget) {
+      stats.inc("snapshot_truncated");
+      break;
+    }
+    put(body, key, value);
+    ++n;
+  }
+  w.put_u16(n);
+  w.put_bytes(BytesView{std::move(body).take()});
+}
+
 }  // namespace
 
 // ============================ Ipcp core ============================
@@ -174,6 +186,7 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
     : host_(host),
       cfg_(cfg),
       dif_id_(dif_id),
+      routing_(cfg, stats_),
       rmt_(*this),
       fa_(*this),
       enrollment_(*this) {
@@ -415,10 +428,7 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
 // ---------------------- management dispatch ----------------------
 
 void Ipcp::send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m) {
-  if (is_canonical_keepalive(m))
-    send_mgmt_wire(idx, m.obj_class, keepalive_wire());
-  else
-    send_mgmt_wire(idx, m.obj_class, m.encode());
+  send_mgmt_wire(idx, m.obj_class, m.encode());
 }
 
 void Ipcp::send_mgmt_wire(relay::PortIndex idx, const std::string& cls,
@@ -583,6 +593,12 @@ naming::AddrMap<std::vector<relay::PortIndex>> Ipcp::live_neighbors() const {
   return out;
 }
 
+std::vector<naming::Address> Ipcp::neighbor_set() const {
+  std::vector<naming::Address> out;
+  for (const auto& [addr, ports] : live_neighbors()) out.push_back(addr);
+  return out;
+}
+
 void Ipcp::rebuild_neighbor_ports() {
   // Step-2 bindings: *every* known attachment to a neighbor, live or not —
   // liveness is checked per-PDU at lookup time (late binding).
@@ -599,29 +615,26 @@ void Ipcp::rebuild_neighbor_ports() {
 void Ipcp::adjacency_changed() {
   if (departed_) return;
   rebuild_neighbor_ports();
-  std::vector<naming::Address> now_set;
-  for (const auto& [addr, ports] : live_neighbors()) now_set.push_back(addr);
+  std::vector<naming::Address> now_set = neighbor_set();
   schedule_spf();
   if (now_set == last_neighbor_set_) return;
-  last_neighbor_set_ = now_set;
+  last_neighbor_set_ = std::move(now_set);
   if (lsu_timer_.armed() || !enrolled_) return;
   lsu_timer_ = sched().schedule_after(kLsuDebounce, [this] { originate_lsu(); });
 }
 
 void Ipcp::originate_lsu() {
   if (!enrolled_ || address_.is_null()) return;
-  ++lsu_seq_;
-  std::vector<naming::Address> neighbors;
-  for (const auto& [addr, ports] : live_neighbors()) neighbors.push_back(addr);
-  lsdb_[address_] = LsuRecord{lsu_seq_, neighbors};
+  std::vector<naming::Address> neighbors = neighbor_set();
+  std::uint64_t seq = routing_.originate(address_, neighbors);
   stats_.inc("lsus_originated");
 
-  rib::RiepMessage m = lsu_msg(address_, lsu_seq_, neighbors);
+  rib::RiepMessage m = lsu_msg(address_, seq, neighbors);
   if (cfg_.rib_delta_sync) {
     // The LSU's own sequence number doubles as the replicated object's
     // version; dissemination is a logged delta, not a full-value flood.
-    (void)rib_.upsert_versioned(m.obj_name, m.obj_class, m.value, lsu_seq_);
-    disseminate_delta(m.obj_name, m.obj_class, std::move(m.value), lsu_seq_);
+    (void)rib_.upsert_versioned(m.obj_name, m.obj_class, m.value, seq);
+    disseminate_delta(m.obj_name, m.obj_class, std::move(m.value), seq);
   } else {
     // Flooded LSUs live in the LSDB alone: no RIB copy, since only
     // delta sync reads LSUs back out of the RIB.
@@ -644,30 +657,21 @@ std::size_t Ipcp::flood(const rib::RiepMessage& m,
   return sent;
 }
 
-std::uint16_t Ipcp::put_lsdb(BufWriter& w) {
-  std::uint16_t n = 0;
-  for (const auto& [origin, rec] : lsdb_) {
-    if (w.size() > kSnapshotBudget / 2) {
-      stats_.inc("snapshot_truncated");
-      break;
-    }
-    put_lsu(w, origin, rec.seq, rec.neighbors);
-    ++n;
-  }
-  return n;
+void Ipcp::put_lsdb(BufWriter& w) {
+  put_snapshot(w, routing_.lsdb(), kSnapshotBudget / 2, stats_,
+               [](BufWriter& b, naming::Address origin, const auto& rec) {
+                 put_lsu(b, origin, rec.seq, rec.neighbors);
+               });
 }
 
 void Ipcp::send_lsdb_sync(relay::PortIndex idx) {
-  if (lsdb_.empty()) return;
+  if (routing_.lsdb().empty()) return;
   rib::RiepMessage m;
   m.op = rib::RiepOp::write;
   m.obj_name = "/routing/lsdb";
   m.obj_class = kClsLsdbSync;
-  BufWriter body(256);
-  std::uint16_t n = put_lsdb(body);
-  BufWriter w(2 + body.size());
-  w.put_u16(n);
-  w.put_bytes(BytesView{std::move(body).take()});
+  BufWriter w(256);
+  put_lsdb(w);
   m.value = std::move(w).take();
   send_mgmt(idx, m);
 }
@@ -683,9 +687,8 @@ void Ipcp::handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
     std::uint64_t seq = r.get_u64();
     std::vector<naming::Address> neighbors = get_neighbors(r);
     if (!r.ok() || origin.is_null() || origin == address_) continue;
-    auto it = lsdb_.find(origin);
-    if (it != lsdb_.end() && seq <= it->second.seq) continue;
-    handle_lsu(idx, lsu_msg(origin, seq, neighbors));
+    if (routing_.is_newer(origin, seq))
+      handle_lsu(idx, lsu_msg(origin, seq, neighbors));
   }
 }
 
@@ -699,81 +702,31 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
   // Duplicate guard *before* the (larger) neighbor-list decode: a
   // byte-identical re-flood is recognized from (origin, seq) alone and
   // never re-floods, never schedules SPF.
-  {
-    auto lit = lsdb_.find(origin);
-    if (lit != lsdb_.end() && seq <= lit->second.seq &&
-        !(lit->second.seq == 0 && seq == 0)) {
-      ++lazy_cell(c_lsus_dup_suppressed_, "lsus_dup_suppressed");
-      return;  // stale or duplicate
-    }
+  if (!routing_.is_newer(origin, seq)) {
+    ++lazy_cell(c_lsus_dup_suppressed_, "lsus_dup_suppressed");
+    return;  // stale or duplicate
   }
   std::vector<naming::Address> neighbors = get_neighbors(r);
   if (!r.ok()) return;
-  auto& rec = lsdb_[origin];
-  if (use_incremental_spf())
-    note_lsu_edge_changes(origin, rec.neighbors, neighbors);
-  rec.seq = seq;
-  rec.neighbors = std::move(neighbors);
+  (void)routing_.learn(origin, seq, std::move(neighbors));
   flood(m, idx);
   schedule_spf();
 }
 
 void Ipcp::schedule_spf() {
-  if (spf_timer_.armed() || departed_) return;
-  spf_timer_ = sched().schedule_after(kSpfDebounce, [this] { run_spf(); });
+  if (!departed_) routing_.schedule(sched(), [this] { run_spf(); });
 }
 
 void Ipcp::run_spf() {
   if (!enrolled_ || address_.is_null()) return;
-  if (use_incremental_spf()) {
-    run_spf_incremental();
-    return;
-  }
-  stats_.inc("spf_runs");
-
-  routing::Graph g;
-  auto mine = live_neighbors();
-  for (const auto& [addr, ports] : mine) g.add_edge(address_, addr, 1);
-  for (const auto& [origin, rec] : lsdb_) {
-    if (origin == address_) continue;
-    for (auto n : rec.neighbors) g.add_edge(origin, n, 1);
-  }
-  auto spf = g.dijkstra(address_);
-  // A full run re-derives every destination — the comparable work unit
-  // incremental repair reports per touched vertex.
-  stats_.inc("spf_vertices_recomputed", spf.entries.size());
-
-  rmt_.fib_.clear_routes();
-  if (!cfg_.aggregate_regions) {
-    for (const auto& [dest, entry] : spf.entries)
-      rmt_.fib_.set_next_hops(dest, std::move(entry.next_hops));
-  } else {
-    // Topological aggregation: full entries for my region, one wildcard
-    // entry per foreign region (routes grow with regions, not nodes).
-    std::map<std::uint16_t, std::pair<routing::Cost, std::vector<naming::Address>>>
-        best_foreign;
-    for (const auto& [dest, entry] : spf.entries) {
-      if (dest.region == address_.region) {
-        rmt_.fib_.set_next_hops(dest, entry.next_hops);
-      } else {
-        auto it = best_foreign.find(dest.region);
-        if (it == best_foreign.end() || entry.dist < it->second.first)
-          best_foreign[dest.region] = {entry.dist, entry.next_hops};
-      }
-    }
-    for (auto& [region, best] : best_foreign)
-      rmt_.fib_.set_next_hops(naming::Address{region, 0}, best.second);
-  }
+  routing_.run(address_, neighbor_set(), rmt_.fib_);
   rebuild_neighbor_ports();
 }
 
 // --------------------------- keepalives ---------------------------
 
 void Ipcp::keepalive_tick() {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/dif/keepalive";
-  m.obj_class = kClsKeepAlive;
+  const std::string cls = kClsKeepAlive;
   bool changed = false;
   SimTime limit{cfg_.keepalive_interval.ns * cfg_.keepalive_misses};
   for (std::size_t i = 0; i < ports_.size(); ++i) {
@@ -785,7 +738,7 @@ void Ipcp::keepalive_tick() {
       changed = true;
       continue;
     }
-    if (p.alive) send_mgmt(static_cast<relay::PortIndex>(i), m);
+    if (p.alive) send_mgmt_wire(static_cast<relay::PortIndex>(i), cls, keepalive_wire());
   }
   if (changed) adjacency_changed();
 }
@@ -942,34 +895,19 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   acc.op = rib::RiepOp::reply;
   acc.obj_name = "/dif/enrollment/" + joiner_name;
   acc.obj_class = kClsJoinAccept;
-  // Snapshots must fit the PCI's u16 payload length; past the budget we
-  // truncate and count it — floods and dir-sync top the joiner up later.
-  BufWriter dir_w(256);
-  std::uint16_t ndir = 0;
-  // A hierarchical DIF has no replicated directory to hand over — the
+  // A truncated snapshot is topped up later by floods and dir-sync. A
+  // hierarchical DIF has no replicated directory to hand over — the
   // joiner resolves through its anchor like everyone else.
-  if (!cfg_.dir_hierarchical) {
-    for (const auto& [app, at] : dir_.entries()) {
-      if (dir_w.size() > kSnapshotBudget / 2) {
-        stats_.inc("snapshot_truncated");
-        break;
-      }
-      put_app(dir_w, app);
-      put_addr(dir_w, at);
-      ++ndir;
-    }
-  }
-  // LSDB snapshot: the joiner must see the DIF's topology, not just us —
-  // link-state floods only carry *changes*.
-  BufWriter lsu_w(256);
-  std::uint16_t nlsu = put_lsdb(lsu_w);
-  BufWriter w(16 + dir_w.size() + lsu_w.size());
+  BufWriter w(256);
   put_addr(w, assigned);
   put_addr(w, address_);
-  w.put_u16(ndir);
-  w.put_bytes(BytesView{std::move(dir_w).take()});
-  w.put_u16(nlsu);
-  w.put_bytes(BytesView{std::move(lsu_w).take()});
+  if (cfg_.dir_hierarchical)
+    w.put_u16(0);
+  else
+    put_dir(w, kSnapshotBudget / 2);
+  // LSDB snapshot: the joiner must see the DIF's topology, not just us —
+  // link-state floods only carry *changes*.
+  put_lsdb(w);
   acc.value = std::move(w).take();
   send_mgmt(idx, acc);
   adjacency_changed();
@@ -992,18 +930,11 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
     std::uint64_t seq = r.get_u64();
     std::vector<naming::Address> neighbors = get_neighbors(r);
     if (!r.ok()) break;
-    auto& rec = lsdb_[origin];
-    if (seq > rec.seq) {
-      rec.seq = seq;
-      rec.neighbors = std::move(neighbors);
-      if (cfg_.rib_delta_sync) {
-        // Seed the replica too, or the first anti-entropy round would
-        // re-pull everything the snapshot already carried.
-        (void)rib_.upsert_versioned("/routing/lsu/" + origin.to_string(),
-                                    kClsLsu,
-                                    lsu_value(origin, seq, rec.neighbors), seq);
-      }
-    }
+    // Seed the replica too, or the first anti-entropy round would
+    // re-pull everything the snapshot already carried.
+    if (routing_.learn(origin, seq, neighbors) && cfg_.rib_delta_sync)
+      (void)rib_.upsert_versioned("/routing/lsu/" + origin.to_string(), kClsLsu,
+                                  lsu_value(origin, seq, neighbors), seq);
   }
   if (!r.ok()) return;
   enrollment_.join_timer_.cancel();  // the pending timeout retry
@@ -1037,17 +968,13 @@ void Ipcp::leave(bool teardown_flows) {
   pending_resolve_.clear();
   dir_cache_.clear();
   dir_interest_.clear();
-  spf_seeded_ = false;
-  pending_edge_changes_.clear();
-  graph_.clear();
-  graph_my_neighbors_.clear();
-  spf_prev_ = routing::SpfResult{};
+  routing_.reset();
   stats_.inc("departures");
 }
 
 // --------------------------- directory ---------------------------
 
-void Ipcp::flood_dir_entry(const naming::AppName& app, std::uint8_t op) {
+rib::RiepMessage Ipcp::dir_update_msg(const naming::AppName& app, std::uint8_t op) {
   rib::RiepMessage m;
   m.op = op == 1 ? rib::RiepOp::create : rib::RiepOp::remove;
   m.obj_name = "/dif/directory/" + app.to_string();
@@ -1059,7 +986,7 @@ void Ipcp::flood_dir_entry(const naming::AppName& app, std::uint8_t op) {
   put_app(w, app);
   put_addr(w, address_);
   m.value = std::move(w).take();
-  flood(m, std::nullopt);
+  return m;
 }
 
 void Ipcp::announce_app(const naming::AppName& app) {
@@ -1070,9 +997,7 @@ void Ipcp::announce_app(const naming::AppName& app) {
   } else if (cfg_.rib_delta_sync) {
     disseminate_dir_delta(app, 1);
   } else {
-    rib_.upsert("/dif/directory/" + app.to_string(), kClsDirEntry,
-                to_bytes(address_.to_string()));
-    flood_dir_entry(app, 1);
+    flood(dir_update_msg(app, 1), std::nullopt);
   }
 }
 
@@ -1109,7 +1034,7 @@ void Ipcp::unpublish_app(const naming::AppName& app) {
   } else if (cfg_.rib_delta_sync) {
     disseminate_dir_delta(app, 2);
   } else {
-    flood_dir_entry(app, 2);
+    flood(dir_update_msg(app, 2), std::nullopt);
   }
 }
 
@@ -1119,22 +1044,18 @@ void Ipcp::send_dir_sync(relay::PortIndex idx) {
   m.op = rib::RiepOp::write;
   m.obj_name = "/dif/directory";
   m.obj_class = kClsDirSync;
-  BufWriter body(256);
-  std::uint16_t n = 0;
-  for (const auto& [app, at] : dir_.entries()) {
-    if (body.size() > kSnapshotBudget) {
-      stats_.inc("snapshot_truncated");
-      break;
-    }
-    put_app(body, app);
-    put_addr(body, at);
-    ++n;
-  }
-  BufWriter w(4 + body.size());
-  w.put_u16(n);
-  w.put_bytes(BytesView{std::move(body).take()});
+  BufWriter w(256);
+  put_dir(w, kSnapshotBudget);
   m.value = std::move(w).take();
   send_mgmt(idx, m);
+}
+
+void Ipcp::put_dir(BufWriter& w, std::size_t budget) {
+  put_snapshot(w, dir_.entries(), budget, stats_,
+               [](BufWriter& b, const naming::AppName& app, naming::Address at) {
+                 put_app(b, app);
+                 put_addr(b, at);
+               });
 }
 
 void Ipcp::handle_dir_sync(const rib::RiepMessage& m) {
@@ -1162,14 +1083,10 @@ bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
     return false;
   }
   std::optional<naming::Address> old = dir_.lookup(app);
-  if (op == 1) {
+  if (op == 1)
     dir_.add(app, at);
-    if (!cfg_.dir_hierarchical)
-      rib_.upsert("/dif/directory/" + app.to_string(), kClsDirEntry,
-                  to_bytes(at.to_string()));
-  } else {
+  else
     dir_.remove(app);
-  }
   // An authority losing (or rebinding) an entry kills every cached copy
   // of the old binding via its interest list — mobility costs O(who
   // actually resolved the name), not O(members).
@@ -1287,17 +1204,7 @@ void Ipcp::finish_dir_query(const naming::AppName& app,
 }
 
 void Ipcp::send_targeted_dir_update(const naming::AppName& app, std::uint8_t op) {
-  rib::RiepMessage m;
-  m.op = op == 1 ? rib::RiepOp::create : rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirUpd;
-  BufWriter w(16 + app.to_string().size());
-  put_addr(w, address_);
-  w.put_u64(++dir_seq_);
-  w.put_u8(op);
-  put_app(w, app);
-  put_addr(w, address_);
-  m.value = std::move(w).take();
+  rib::RiepMessage m = dir_update_msg(app, op);
   stats_.inc("dir_targeted_updates");
   naming::Address anchor = dir_anchor();
   if (anchor != address_ && !anchor.is_null()) send_routed_mgmt(anchor, m);
@@ -1473,16 +1380,9 @@ bool Ipcp::apply_replicated(const rib::DeltaEntry& e) {
     naming::Address origin = get_addr(r);
     std::uint64_t seq = r.get_u64();
     std::vector<naming::Address> neighbors = get_neighbors(r);
-    if (r.ok() && !origin.is_null() && origin != address_) {
-      auto& rec = lsdb_[origin];
-      if (seq > rec.seq) {
-        if (use_incremental_spf())
-          note_lsu_edge_changes(origin, rec.neighbors, neighbors);
-        rec.seq = seq;
-        rec.neighbors = std::move(neighbors);
-        schedule_spf();
-      }
-    }
+    if (r.ok() && !origin.is_null() && origin != address_ &&
+        routing_.learn(origin, seq, std::move(neighbors)))
+      schedule_spf();
   } else if (e.obj_class == kClsDirEntry) {
     BufReader r(BytesView{e.value});
     std::uint8_t op = r.get_u8();
@@ -1660,102 +1560,6 @@ void Ipcp::start_sync_timer() {
       static_cast<std::int64_t>(splitmix64(address_.key()) % 16) * (step / 16);
   sync_timer_ = sched().schedule_after(SimTime{step + phase},
                                        [this] { anti_entropy_round(); });
-}
-
-// ------------------------- incremental SPF -------------------------
-//
-// cfg.incremental_spf: keep the topology graph and previous SP tree
-// live; an LSU turns into edge deltas (note_lsu_edge_changes) and the
-// debounced run repairs only the affected subtrees — or skips outright
-// when no changed edge touches a shortest path. The tentpole's routing
-// layer.
-
-void Ipcp::note_lsu_edge_changes(naming::Address origin,
-                                 const std::vector<naming::Address>& old_n,
-                                 const std::vector<naming::Address>& new_n) {
-  if (!spf_seeded_) return;  // first run builds the graph wholesale
-  for (auto n : new_n) {
-    if (std::find(old_n.begin(), old_n.end(), n) != old_n.end()) continue;
-    routing::EdgeChange c;
-    c.from = origin;
-    c.to = n;
-    c.old_cost = graph_.edge_cost(origin, n);
-    c.new_cost = 1;
-    if (c.old_cost == c.new_cost) continue;
-    graph_.set_edge(origin, n, 1);
-    pending_edge_changes_.push_back(c);
-  }
-  for (auto n : old_n) {
-    if (std::find(new_n.begin(), new_n.end(), n) != new_n.end()) continue;
-    routing::EdgeChange c;
-    c.from = origin;
-    c.to = n;
-    c.old_cost = graph_.edge_cost(origin, n);
-    c.new_cost = routing::kInfinity;
-    if (c.old_cost == routing::kInfinity) continue;
-    graph_.remove_edge(origin, n);
-    pending_edge_changes_.push_back(c);
-  }
-}
-
-void Ipcp::run_spf_incremental() {
-  // My own adjacency set diffs just like a neighbor's LSU would.
-  std::vector<naming::Address> now_set;
-  for (const auto& [addr, ports] : live_neighbors()) now_set.push_back(addr);
-  if (spf_seeded_) {
-    note_lsu_edge_changes(address_, graph_my_neighbors_, now_set);
-    graph_my_neighbors_ = now_set;
-  }
-
-  if (!spf_seeded_) {
-    graph_.clear();
-    for (auto n : now_set) graph_.add_edge(address_, n, 1);
-    for (const auto& [origin, rec] : lsdb_) {
-      if (origin == address_) continue;
-      for (auto n : rec.neighbors) graph_.add_edge(origin, n, 1);
-    }
-    graph_my_neighbors_ = std::move(now_set);
-    spf_prev_ = graph_.dijkstra(address_);
-    spf_seeded_ = true;
-    pending_edge_changes_.clear();
-    stats_.inc("spf_runs");
-    stats_.inc("spf_full_runs");
-    rmt_.fib_.clear_routes();
-    for (const auto& [dest, entry] : spf_prev_.entries)
-      rmt_.fib_.set_next_hops(dest, entry.next_hops);
-    rebuild_neighbor_ports();
-    return;
-  }
-
-  if (pending_edge_changes_.empty()) {
-    stats_.inc("spf_skipped");
-    rebuild_neighbor_ports();
-    return;
-  }
-  std::vector<routing::EdgeChange> changes = std::move(pending_edge_changes_);
-  pending_edge_changes_.clear();
-  routing::SpfDelta delta;
-  spf_prev_ =
-      graph_.spf_incremental(address_, std::move(spf_prev_), changes, delta);
-  if (delta.skipped) {
-    // No changed edge touched a shortest path: the tree stands.
-    stats_.inc("spf_skipped");
-    rebuild_neighbor_ports();
-    return;
-  }
-  stats_.inc("spf_runs");
-  stats_.inc("spf_incremental_runs");
-  stats_.inc("spf_vertices_recomputed", delta.recomputed);
-  // Patch the FIB only where the tree moved.
-  for (auto dest : delta.removed)
-    if (dest != address_) rmt_.fib_.remove_route(dest);
-  for (auto dest : delta.changed) {
-    if (dest == address_) continue;
-    auto it = spf_prev_.entries.find(dest);
-    if (it != spf_prev_.entries.end())
-      rmt_.fib_.set_next_hops(dest, it->second.next_hops);
-  }
-  rebuild_neighbor_ports();
 }
 
 // ============================== Rmt ==============================

@@ -8,7 +8,8 @@
 //   * EFCP        — per-flow error/flow control with per-DIF policies;
 //   * RMT         — relaying & multiplexing over the DIF's ports with
 //                   two-step forwarding (routing/graph + relay/forwarding);
-//   * Routing     — link-state flooding scoped to this DIF only.
+//   * Routing     — link-state flooding scoped to this DIF only
+//                   (routing/link_state.hpp).
 //
 // Ports are the IPCP's attachments to the level below: a wire for a
 // rank-0 DIF, an N-1 flow for an overlay DIF. The IPCP cannot tell the
@@ -42,7 +43,7 @@
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
 #include "rib/sync.hpp"
-#include "routing/graph.hpp"
+#include "routing/link_state.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rina::ipcp {
@@ -320,17 +321,16 @@ class Ipcp {
   [[nodiscard]] std::uint64_t mgmt_dropped() const { return mgmt_dropped_; }
   /// An LSU origination or an SPF run is waiting out its debounce.
   [[nodiscard]] bool routing_pending() const {
-    return lsu_timer_.armed() || spf_timer_.armed();
+    return lsu_timer_.armed() || routing_.pending();
   }
   /// Every port with carrier has an enrolled peer.
   [[nodiscard]] bool ports_paired() const;
   /// Link-state records held, this member's own included.
-  [[nodiscard]] std::size_t lsdb_size() const { return lsdb_.size(); }
+  [[nodiscard]] std::size_t lsdb_size() const { return routing_.lsdb().size(); }
   /// Sequence number of `origin`'s link-state record held here (this
   /// member's own included), 0 if none.
   [[nodiscard]] std::uint64_t lsu_seq_of(naming::Address origin) const {
-    auto it = lsdb_.find(origin);
-    return it == lsdb_.end() ? 0 : it->second.seq;
+    return routing_.seq_of(origin);
   }
 
   // ---- membership ----
@@ -373,11 +373,6 @@ class Ipcp {
     std::optional<std::uint64_t> join_nonce;  // member side of psk handshake
   };
 
-  struct LsuRecord {
-    std::uint64_t seq = 0;
-    std::vector<naming::Address> neighbors;
-  };
-
   std::uint64_t& lazy_cell(std::uint64_t*& cell, std::string_view name) {
     if (cell == nullptr) cell = stats_.slot(name);
     return *cell;
@@ -402,9 +397,12 @@ class Ipcp {
   void handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m);
   void handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m);
   bool apply_dir_update(const rib::RiepMessage& m);  // true = fresh
+  /// Directory snapshot block: the (app, address) pairs within `budget`.
+  void put_dir(BufWriter& w, std::size_t budget);
   void send_dir_sync(relay::PortIndex idx);
   void handle_dir_sync(const rib::RiepMessage& m);
-  void flood_dir_entry(const naming::AppName& app, std::uint8_t op);
+  /// DirUpd binding `app` to me (op 1) or withdrawing it (op 2).
+  rib::RiepMessage dir_update_msg(const naming::AppName& app, std::uint8_t op);
   void announce_app(const naming::AppName& app);  // mode-dispatched register
 
   // Hierarchical directory plumbing.
@@ -444,28 +442,22 @@ class Ipcp {
   void admit_joiner(relay::PortIndex idx, const std::string& joiner_name);
   void complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m);
 
-  // Routing engine (link-state, scoped to this DIF).
+  // Routing wiring: ports -> neighbor set -> routing_, and LSU spread.
   void adjacency_changed();
   void schedule_spf();
+  void run_spf();
   void originate_lsu();
   /// Send `m` on every usable port but `except`; returns how many.
   std::size_t flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
-  /// LSDB snapshot (join accept, fresh adjacency): records appended to
-  /// `w` up to the snapshot budget; returns how many.
-  std::uint16_t put_lsdb(BufWriter& w);
+  /// LSDB snapshot block (join accept, fresh adjacency), like put_dir.
+  void put_lsdb(BufWriter& w);
   void send_lsdb_sync(relay::PortIndex idx);
   void handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m);
-  void run_spf();
-  void run_spf_incremental();
-  [[nodiscard]] bool use_incremental_spf() const {
-    return cfg_.incremental_spf && !cfg_.aggregate_regions;
-  }
-  void note_lsu_edge_changes(naming::Address origin,
-                             const std::vector<naming::Address>& old_n,
-                             const std::vector<naming::Address>& new_n);
   void rebuild_neighbor_ports();
   [[nodiscard]] naming::AddrMap<std::vector<relay::PortIndex>> live_neighbors()
       const;
+  /// Addresses of live_neighbors(), ascending.
+  [[nodiscard]] std::vector<naming::Address> neighbor_set() const;
 
   // Keepalives.
   void keepalive_tick();
@@ -509,14 +501,13 @@ class Ipcp {
   std::uint64_t mgmt_received_ = 0;
   std::uint64_t mgmt_dropped_ = 0;
 
+  routing::LinkState routing_;  // LSDB, SPF and FIB install
   Rmt rmt_;
   FlowAllocator fa_;
   Enrollment enrollment_;
   std::unique_ptr<content::ContentStore> cstore_;  // per-DIF RMT policy
 
-  // Link-state database and flood dedup state.
-  naming::AddrMap<LsuRecord> lsdb_;
-  std::uint64_t lsu_seq_ = 0;
+  // Directory flood dedup state and the last neighbor set an LSU told.
   std::set<std::uint64_t> dir_flood_seen_;
   std::uint64_t dir_seq_ = 0;
   std::vector<naming::Address> last_neighbor_set_;
@@ -541,19 +532,9 @@ class Ipcp {
   std::size_t sync_rr_ = 0;     // anti-entropy neighbor round-robin
   sim::Timer sync_timer_;
 
-  // Incremental SPF state (use_incremental_spf()): the live graph
-  // mirror, the last SPF result to repair from, and the edge deltas
-  // accumulated since (from LSUs and my own adjacency diffs).
-  routing::Graph graph_;
-  routing::SpfResult spf_prev_;
-  bool spf_seeded_ = false;
-  std::vector<routing::EdgeChange> pending_edge_changes_;
-  std::vector<naming::Address> graph_my_neighbors_;
-
   // Owned timers replace the scheduled/alive-token flags: armed() is the
   // "already scheduled" test and destruction is the cancellation.
   sim::Timer lsu_timer_;
-  sim::Timer spf_timer_;
   sim::Timer keepalive_timer_;               // periodic while enrolled
   std::vector<sim::Timer> announce_timers_;  // staggered app re-announces
 };

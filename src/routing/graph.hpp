@@ -156,7 +156,8 @@ class Graph {
   /// Repair `prev` (a result for `src` consistent with this graph before
   /// `changes` were applied to it) into the result for the current
   /// graph. `changes` describe cost transitions already applied via
-  /// set_edge/remove_edge. See the header comment for guarantees.
+  /// set_edge/remove_edge, at most one per edge (its cost under `prev`
+  /// to its cost now). See the header comment for guarantees.
   /// `prev` is taken by value: a caller replacing its previous result
   /// moves it in and the repair works on it in place, with no copy.
   [[nodiscard]] SpfResult spf_incremental(naming::Address src, SpfResult prev,
