@@ -2,9 +2,14 @@
 // unit semantics (TTL, capacity eviction, targeted invalidation) and the
 // hierarchical resolution chain end to end: registrations go only to the
 // resolver chain, a miss queries up and caches the answer, TTL expiry
-// re-queries, and a mobility invalidation flood guarantees a stale
-// cached binding is never served.
+// re-queries, and a mobility invalidation cascading down the recorded
+// interest guarantees a stale cached binding is never served. A last
+// case runs one register/move/withdraw script over all three directory
+// arrangements (flat flood, delta sync, hierarchical).
 #include "naming/dir_cache.hpp"
+
+#include <map>
+#include <string>
 
 #include "node/network.hpp"
 #include "test_util.hpp"
@@ -206,6 +211,83 @@ static void mobility_invalidation_no_stale_reads() {
   CHECK(got_old == 1);  // nothing new reached the old home
 }
 
+/// One mobility script over the three directory arrangements (flat
+/// flood, delta sync, hierarchical + delta sync) on HierNet's two-region
+/// topology: register `svc` on m1, move it to m3 in the other region,
+/// then withdraw it. After each step a fresh allocation from every other
+/// member lands on the current home, and after the withdraw no member's
+/// replica or cache still binds the name.
+static void mobility_script(bool delta, bool hierarchical) {
+  node::Network net{92};
+  naming::DifName dif{"mob"};
+  net.add_link("root", "m1");
+  net.add_link("root", "m2");
+  net.add_link("root", "anc2");
+  net.add_link("anc2", "m3");
+  node::DifSpec s;
+  s.cfg.name = dif;
+  s.cfg.rib_delta_sync = delta;
+  s.cfg.dir_hierarchical = hierarchical;
+  s.cfg.dir_anchor_node = 1;
+  s.cfg.dir_root = Address{1, 1};
+  s.members = {"root", "m1", "m2", "anc2", "m3"};
+  s.addresses = {{"root", Address{1, 1}},
+                 {"m1", Address{1, 2}},
+                 {"m2", Address{1, 3}},
+                 {"anc2", Address{2, 1}},
+                 {"m3", Address{2, 2}}};
+  CHECK(net.build_link_dif(s).ok());
+  const AppName svc("svc");
+  std::map<std::string, int> got;  // payloads delivered, by serving node
+  auto ip = [&](const std::string& n) { return net.node(n).ipcp(dif); };
+  auto settle = [&] { net.run_for(SimTime::from_ms(200)); };
+  auto serve = [&](const std::string& on) {
+    CHECK(net.node(on)
+              .register_app(svc, dif,
+                            [&got, on](flow::Flow f) {
+                              f.on_readable([&got, on](flow::Flow& fl) {
+                                while (fl.read()) ++got[on];
+                              });
+                            })
+              .ok());
+  };
+  int round = 0;
+  auto every_member_reaches = [&](const std::string& home) {
+    for (const std::string& from : s.members) {
+      if (from == home) continue;
+      std::map<std::string, int> before = got;
+      flow::Flow f = net.node(from).allocate_flow(
+          AppName("cli-" + from + "-" + std::to_string(round)), svc,
+          flow::QosSpec::reliable_default());
+      CHECK(net.run_until([&] { return !f.is_allocating(); }, SimTime::from_sec(8)));
+      CHECK(f.is_open());
+      CHECK(f.write(BytesView{to_bytes("hi")}).ok());
+      net.run_for(SimTime::from_ms(50));
+      CHECK(got[home] == before[home] + 1);
+      for (const auto& [n, c] : got)
+        if (n != home) CHECK(c == before[n]);
+    }
+    ++round;
+  };
+
+  serve("m1");
+  settle();
+  every_member_reaches("m1");
+
+  CHECK(ip("m1")->fa().unregister_app(svc).ok());
+  settle();
+  serve("m3");
+  settle();
+  every_member_reaches("m3");
+
+  CHECK(ip("m3")->fa().unregister_app(svc).ok());
+  settle();
+  for (const std::string& n : s.members) {
+    CHECK(!ip(n)->directory().lookup(svc).has_value());
+    CHECK(!ip(n)->dir_cache().lookup(svc, net.now()).has_value());
+  }
+}
+
 int main() {
   cache_ttl_and_misses();
   cache_capacity_evicts_soonest_expiry();
@@ -213,5 +295,8 @@ int main() {
   hierarchical_resolution_end_to_end();
   hierarchical_ttl_requeries();
   mobility_invalidation_no_stale_reads();
+  mobility_script(false, false);  // flat flood
+  mobility_script(true, false);   // delta sync
+  mobility_script(true, true);    // hierarchical + delta sync
   return TEST_MAIN_RESULT();
 }
