@@ -62,12 +62,14 @@ struct DifConfig {
 
   /// --- Control plane at scale (all default off: flat dissemination) ---
 
-  /// Hierarchical directory resolution. Registrations go *only* to the
-  /// member's region anchor (address {region, dir_anchor_node}) and the
-  /// DIF root (dir_root); everyone else resolves on miss by querying up
-  /// (member -> anchor -> root), caching answers with a TTL, and
-  /// honoring unregister/mobility invalidation floods. Replaces the
-  /// flat mode's full directory flood.
+  /// Hierarchical directory resolution (ipcp/resolver.hpp). Registrations
+  /// go *only* to the member's region anchor (address {region,
+  /// dir_anchor_node}) and the DIF root (dir_root); everyone else
+  /// resolves on miss by querying up (member -> anchor -> root) and
+  /// caches answers with a TTL. An unregister or move is never flooded:
+  /// the authorities send targeted invalidations down the interest they
+  /// recorded (who queried the name), and each hop cascades them further
+  /// down. Replaces the flat mode's full directory flood.
   bool dir_hierarchical = false;
   naming::Address dir_root{};       // null = the anchor is the top
   std::uint16_t dir_anchor_node = 1;  // anchor = {my region, this node}

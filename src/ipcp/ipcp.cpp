@@ -9,37 +9,11 @@
 
 #include "common/splitmix.hpp"
 #include "content/protocol.hpp"
+#include "ipcp/codec.hpp"
 
 namespace rina::ipcp {
 
 namespace {
-
-// Management object classes: one RIEP dispatch table instead of a zoo of
-// protocols.
-constexpr const char* kClsHello = "Hello";
-constexpr const char* kClsKeepAlive = "KeepAlive";
-constexpr const char* kClsJoinReq = "JoinReq";
-constexpr const char* kClsJoinChallenge = "JoinChallenge";
-constexpr const char* kClsJoinResp = "JoinResp";
-constexpr const char* kClsJoinAccept = "JoinAccept";
-constexpr const char* kClsJoinReject = "JoinReject";
-constexpr const char* kClsBye = "Bye";
-constexpr const char* kClsLsu = "LSU";
-constexpr const char* kClsLsdbSync = "LsdbSync";  // snapshot to a new peer
-constexpr const char* kClsDirUpd = "DirUpd";
-constexpr const char* kClsDirSync = "DirSync";
-constexpr const char* kClsDirEntry = "DirEntry";  // replicated rib object
-constexpr const char* kClsDirRead = "DirRead";          // query up the chain
-constexpr const char* kClsDirReadReply = "DirReadReply";
-constexpr const char* kClsDirInval = "DirInval";        // cache invalidation
-constexpr const char* kClsRibFinger = "RibFinger";      // anti-entropy opener
-constexpr const char* kClsRibDigest = "RibDigest";      // anti-entropy fallback
-constexpr const char* kClsRibDelta = "RibDelta";        // versioned deltas
-constexpr const char* kClsRibPull = "RibPull";          // gap / name pull
-constexpr const char* kClsFlowReq = "FlowReq";
-constexpr const char* kClsFlowResp = "FlowResp";
-constexpr const char* kClsFlowRelease = "FlowRelease";
-constexpr const char* kClsFlowReleaseAck = "FlowReleaseAck";
 
 constexpr SimTime kHelloRetry = SimTime::from_ms(200);
 constexpr SimTime kJoinTimeout = SimTime::from_ms(600);
@@ -59,17 +33,9 @@ constexpr int kMaxReleaseAttempts = 4;
 // queue (no ack clock exists to wake them).
 constexpr SimTime kRmtPollGap = SimTime::from_us(400);
 constexpr int kMaxJoinAttempts = 3;
-// Hierarchical directory queries: retry against routing convergence,
-// then report the miss (the flow allocator keeps polling on its own).
-constexpr SimTime kDirQueryRetry = SimTime::from_ms(50);
-constexpr int kMaxDirQueryAttempts = 4;
-constexpr std::size_t kMaxDirInterest = 128;
 // Snapshot fallback size for delta-sync pulls that fell off the log.
 constexpr std::size_t kSyncSnapshotEntries = 4096;
 constexpr std::uint64_t kHelloNonce = 0x48454c4c4f754c4cULL;
-// Keep management snapshots comfortably inside the PCI's u16 payload
-// length (there is no fragmentation); overflow is truncated + counted.
-constexpr std::size_t kSnapshotBudget = 56000;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -79,8 +45,6 @@ std::uint64_t fnv1a(const std::string& s) {
   }
   return h;
 }
-
-void put_addr(BufWriter& w, naming::Address a) { w.put_u32(a.key()); }
 
 /// One LSU record: (origin, seq, neighbor list). It is an LSU's value
 /// and, concatenated, an LSDB snapshot.
@@ -101,12 +65,8 @@ Bytes lsu_value(naming::Address origin, std::uint64_t seq,
 
 rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
                          const std::vector<naming::Address>& neighbors) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/routing/lsu/" + origin.to_string();
-  m.obj_class = kClsLsu;
-  m.value = lsu_value(origin, seq, neighbors);
-  return m;
+  return riep_msg(rib::RiepOp::write, "/routing/lsu/" + origin.to_string(), kClsLsu,
+                  lsu_value(origin, seq, neighbors));
 }
 
 /// Management messages enter the datapath as headroomed Packets so the
@@ -121,20 +81,9 @@ Packet mgmt_payload(const rib::RiepMessage& m) {
 /// port per tick is pure waste; keepalive_tick sends and handle_mgmt
 /// keys off these exact bytes.
 const Bytes& keepalive_wire() {
-  static const Bytes wire = [] {
-    rib::RiepMessage m;
-    m.op = rib::RiepOp::write;
-    m.obj_name = "/dif/keepalive";
-    m.obj_class = kClsKeepAlive;
-    return m.encode();
-  }();
+  static const Bytes wire =
+      riep_msg(rib::RiepOp::write, "/dif/keepalive", kClsKeepAlive).encode();
   return wire;
-}
-
-naming::Address get_addr(BufReader& r) {
-  std::uint32_t k = r.get_u32();
-  return naming::Address{static_cast<std::uint16_t>(k >> 16),
-                         static_cast<std::uint16_t>(k & 0xFFFF)};
 }
 
 /// The neighbor list that ends an LSU record (put_lsu).
@@ -146,36 +95,21 @@ std::vector<naming::Address> get_neighbors(BufReader& r) {
   return out;
 }
 
-void put_app(BufWriter& w, const naming::AppName& a) {
-  w.put_lpstring(a.process);
-  w.put_lpstring(a.instance);
+rib::RiepMessage sync_msg(const char* cls, Bytes value) {
+  return riep_msg(rib::RiepOp::sync, "/rib/sync", cls, std::move(value));
 }
 
-naming::AppName get_app(BufReader& r) {
-  naming::AppName a;
-  a.process = r.get_lpstring();
-  a.instance = r.get_lpstring();
-  return a;
-}
-
-/// A snapshot block (LSDB, directory): a u16 count, then `put` for each
-/// of `records` until the records pass `budget` bytes. Snapshots must
-/// fit the PCI's u16 payload length, so the rest is dropped and counted.
-template <typename Records, typename Put>
-void put_snapshot(BufWriter& w, const Records& records, std::size_t budget,
-                  Stats& stats, Put put) {
-  BufWriter body(256);
-  std::uint16_t n = 0;
-  for (const auto& [key, value] : records) {
-    if (body.size() > budget) {
-      stats.inc("snapshot_truncated");
-      break;
-    }
-    put(body, key, value);
-    ++n;
+/// Read an LSDB snapshot block (put_lsdb), handing each intact record
+/// to `install`.
+template <typename Install>
+void read_lsdb(BufReader& r, Install install) {
+  std::uint16_t n = r.get_u16();
+  for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
+    naming::Address origin = get_addr(r);
+    std::uint64_t seq = r.get_u64();
+    std::vector<naming::Address> neighbors = get_neighbors(r);
+    if (r.ok()) install(origin, seq, std::move(neighbors));
   }
-  w.put_u16(n);
-  w.put_bytes(BytesView{std::move(body).take()});
 }
 
 }  // namespace
@@ -187,6 +121,7 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
       cfg_(cfg),
       dif_id_(dif_id),
       routing_(cfg, stats_),
+      resolver_(*this, cfg_, stats_),
       rmt_(*this),
       fa_(*this),
       enrollment_(*this) {
@@ -195,7 +130,6 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
   c_lsus_flooded_ = stats_.slot("lsus_flooded");
   c_riep_sent_ = stats_.slot("riep_sent");
   c_mgmt_bytes_ = stats_.slot("mgmt_bytes_sent");
-  dir_cache_.configure(cfg_.dir_cache_ttl, cfg_.dir_cache_entries);
   sync_.set_log_capacity(cfg_.rib_log_entries);
   if (cfg_.cubes.empty()) cfg_.cubes = dif::default_cubes();
   if (cfg_.rmt_content_store_enabled && cfg_.rmt_content_store_objects > 0)
@@ -265,16 +199,12 @@ void Ipcp::send_hello(relay::PortIndex idx) {
   if (!enrolled_) return;
   Port& p = ports_[idx];
   p.hello_sent = true;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::create;
-  m.obj_name = "/dif/members/" + host_.node_name();
-  m.obj_class = kClsHello;
   BufWriter w(32);
   put_addr(w, address_);
   w.put_u64(auth_token(kHelloNonce));
   w.put_lpstring(host_.node_name());
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
+  send_mgmt(idx, riep_msg(rib::RiepOp::create, "/dif/members/" + host_.node_name(),
+                          kClsHello, std::move(w).take()));
   // A lost hello would strand the adjacency half-open; repeat until the
   // peer is heard from. The timer lives in the port, so it dies with us.
   p.hello_timer = sched().schedule_after(kHelloRetry, [this, idx] {
@@ -362,13 +292,13 @@ void Ipcp::deliver_local(efcp::Pdu&& pdu) {
     } else if (msg.obj_class == kClsDirUpd) {
       // A targeted registration update (hierarchical mode): apply to the
       // local directory, never re-flood.
-      (void)apply_dir_update(msg);
+      resolver_.handle_update(msg, std::nullopt);
     } else if (msg.obj_class == kClsDirRead) {
-      handle_dir_read(pdu.pci, msg);
+      resolver_.handle_read(msg);
     } else if (msg.obj_class == kClsDirReadReply) {
-      handle_dir_read_reply(msg);
+      resolver_.handle_read_reply(msg);
     } else if (msg.obj_class == kClsDirInval) {
-      handle_dir_inval(msg);
+      resolver_.handle_inval(msg);
     }
     return;
   }
@@ -515,9 +445,9 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
   } else if (cls == kClsLsdbSync) {
     handle_lsdb_sync(idx, m);
   } else if (cls == kClsDirUpd) {
-    handle_dir_update(idx, m);
+    resolver_.handle_update(m, idx);
   } else if (cls == kClsDirSync) {
-    handle_dir_sync(m);
+    resolver_.handle_sync(m);
   } else if (cls == kClsRibDelta) {
     handle_rib_delta(idx, m);
   } else if (cls == kClsRibFinger) {
@@ -550,14 +480,13 @@ void Ipcp::handle_hello(relay::PortIndex idx, const rib::RiepMessage& m) {
     // A fresh adjacency: hand the peer what the flood could not have
     // reached it with. Under delta sync that is a digest (the peer pulls
     // just what differs, LSUs included). Otherwise it is the LSDB — an
-    // LSU flooded before this wire came up never crossed it — and, unless
-    // naming is hierarchical (nothing replicated to reconcile), the
-    // directory.
+    // LSU flooded before this wire came up never crossed it — and the
+    // resolver's replicated directory, if it keeps one.
     if (cfg_.rib_delta_sync) {
       send_port_digest(idx);
     } else {
       send_lsdb_sync(idx);
-      if (!cfg_.dir_hierarchical) send_dir_sync(idx);
+      resolver_.send_sync(idx);
     }
     adjacency_changed();
   }
@@ -573,11 +502,7 @@ void Ipcp::handle_keepalive(relay::PortIndex idx) {
 
 void Ipcp::handle_bye(relay::PortIndex idx) {
   Port& p = ports_[idx];
-  if (!p.peer.is_null()) {
-    dir_.remove_at(p.peer);
-    std::size_t n = dir_cache_.invalidate_at(p.peer);
-    if (n != 0) stats_.inc("dir_cache_invalidations", n);
-  }
+  if (!p.peer.is_null()) resolver_.forget(p.peer);
   p.peer_enrolled = false;
   adjacency_changed();
 }
@@ -666,14 +591,10 @@ void Ipcp::put_lsdb(BufWriter& w) {
 
 void Ipcp::send_lsdb_sync(relay::PortIndex idx) {
   if (routing_.lsdb().empty()) return;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/routing/lsdb";
-  m.obj_class = kClsLsdbSync;
   BufWriter w(256);
   put_lsdb(w);
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
+  send_mgmt(idx, riep_msg(rib::RiepOp::write, "/routing/lsdb", kClsLsdbSync,
+                          std::move(w).take()));
 }
 
 void Ipcp::handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
@@ -681,15 +602,11 @@ void Ipcp::handle_lsdb_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
   // port would be — installed, re-flooded to the other ports, SPF
   // scheduled — so the rest of our side of the new wire learns it too.
   BufReader r(BytesView{m.value});
-  std::uint16_t n = r.get_u16();
-  for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-    naming::Address origin = get_addr(r);
-    std::uint64_t seq = r.get_u64();
-    std::vector<naming::Address> neighbors = get_neighbors(r);
-    if (!r.ok() || origin.is_null() || origin == address_) continue;
-    if (routing_.is_newer(origin, seq))
+  read_lsdb(r, [&](naming::Address origin, std::uint64_t seq,
+                   std::vector<naming::Address> neighbors) {
+    if (!origin.is_null() && origin != address_ && routing_.is_newer(origin, seq))
       handle_lsu(idx, lsu_msg(origin, seq, neighbors));
-  }
+  });
 }
 
 void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
@@ -762,15 +679,11 @@ void Ipcp::join_attempt(relay::PortIndex idx) {
     return;
   }
   ++enrollment_.attempts_;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::start;
-  m.obj_name = "/dif/enrollment/" + host_.node_name();
-  m.obj_class = kClsJoinReq;
   BufWriter w(32);
   w.put_lpstring(host_.node_name());
   w.put_lpstring(cfg_.auth_policy == "password" ? cfg_.auth_secret : "");
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
+  send_mgmt(idx, riep_msg(rib::RiepOp::start, "/dif/enrollment/" + host_.node_name(),
+                          kClsJoinReq, std::move(w).take()));
 
   enrollment_.join_timer_ = sched().schedule_after(kJoinTimeout, [this, idx] {
     if (!enrolled_) join_attempt(idx);
@@ -795,26 +708,18 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
         admit_joiner(idx, joiner);
       } else {
         enrollment_.stats_.inc("joins_rejected");
-        rib::RiepMessage rej;
-        rej.op = rib::RiepOp::reply;
-        rej.obj_name = m.obj_name;
-        rej.obj_class = kClsJoinReject;
-        rej.value = to_bytes("bad credentials");
-        send_mgmt(idx, rej);
+        send_mgmt(idx, riep_msg(rib::RiepOp::reply, m.obj_name, kClsJoinReject,
+                                to_bytes("bad credentials")));
       }
     } else {  // psk-challenge
       std::uint64_t nonce = splitmix64(++enrollment_.nonce_counter_ ^
                                        (static_cast<std::uint64_t>(dif_id_) << 32) ^
                                        address_.key());
       p.join_nonce = nonce;
-      rib::RiepMessage ch;
-      ch.op = rib::RiepOp::reply;
-      ch.obj_name = m.obj_name;
-      ch.obj_class = kClsJoinChallenge;
       BufWriter w(8);
       w.put_u64(nonce);
-      ch.value = std::move(w).take();
-      send_mgmt(idx, ch);
+      send_mgmt(idx, riep_msg(rib::RiepOp::reply, m.obj_name, kClsJoinChallenge,
+                              std::move(w).take()));
     }
     return;
   }
@@ -826,15 +731,11 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
       return;
     std::uint64_t nonce = r.get_u64();
     if (!r.ok()) return;
-    rib::RiepMessage resp;
-    resp.op = rib::RiepOp::reply;
-    resp.obj_name = m.obj_name;
-    resp.obj_class = kClsJoinResp;
     BufWriter w(32);
     w.put_lpstring(host_.node_name());
     w.put_u64(auth_token(nonce));
-    resp.value = std::move(w).take();
-    send_mgmt(idx, resp);
+    send_mgmt(idx, riep_msg(rib::RiepOp::reply, m.obj_name, kClsJoinResp,
+                            std::move(w).take()));
     return;
   }
 
@@ -849,12 +750,8 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
       admit_joiner(idx, joiner);
     } else {
       enrollment_.stats_.inc("joins_rejected");
-      rib::RiepMessage rej;
-      rej.op = rib::RiepOp::reply;
-      rej.obj_name = m.obj_name;
-      rej.obj_class = kClsJoinReject;
-      rej.value = to_bytes("challenge failed");
-      send_mgmt(idx, rej);
+      send_mgmt(idx, riep_msg(rib::RiepOp::reply, m.obj_name, kClsJoinReject,
+                              to_bytes("challenge failed")));
     }
     return;
   }
@@ -891,25 +788,16 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   p.peer_enrolled = true;
   p.alive = true;
 
-  rib::RiepMessage acc;
-  acc.op = rib::RiepOp::reply;
-  acc.obj_name = "/dif/enrollment/" + joiner_name;
-  acc.obj_class = kClsJoinAccept;
-  // A truncated snapshot is topped up later by floods and dir-sync. A
-  // hierarchical DIF has no replicated directory to hand over — the
-  // joiner resolves through its anchor like everyone else.
+  // A truncated snapshot is topped up later by floods and dir-sync.
   BufWriter w(256);
   put_addr(w, assigned);
   put_addr(w, address_);
-  if (cfg_.dir_hierarchical)
-    w.put_u16(0);
-  else
-    put_dir(w, kSnapshotBudget / 2);
+  resolver_.put_join_block(w);
   // LSDB snapshot: the joiner must see the DIF's topology, not just us —
   // link-state floods only carry *changes*.
   put_lsdb(w);
-  acc.value = std::move(w).take();
-  send_mgmt(idx, acc);
+  send_mgmt(idx, riep_msg(rib::RiepOp::reply, "/dif/enrollment/" + joiner_name,
+                          kClsJoinAccept, std::move(w).take()));
   adjacency_changed();
 }
 
@@ -918,24 +806,15 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   BufReader r(BytesView{m.value});
   naming::Address assigned = get_addr(r);
   naming::Address member = get_addr(r);
-  std::uint16_t n = r.get_u16();
-  for (std::uint16_t i = 0; i < n; ++i) {
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok()) dir_.add(app, at);
-  }
-  std::uint16_t nlsu = r.get_u16();
-  for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
-    naming::Address origin = get_addr(r);
-    std::uint64_t seq = r.get_u64();
-    std::vector<naming::Address> neighbors = get_neighbors(r);
-    if (!r.ok()) break;
+  resolver_.take_join_block(r);
+  read_lsdb(r, [this](naming::Address origin, std::uint64_t seq,
+                      std::vector<naming::Address> neighbors) {
     // Seed the replica too, or the first anti-entropy round would
     // re-pull everything the snapshot already carried.
     if (routing_.learn(origin, seq, neighbors) && cfg_.rib_delta_sync)
       (void)rib_.upsert_versioned("/routing/lsu/" + origin.to_string(), kClsLsu,
                                   lsu_value(origin, seq, neighbors), seq);
-  }
+  });
   if (!r.ok()) return;
   enrollment_.join_timer_.cancel();  // the pending timeout retry
   enrollment_.stats_.inc("joins_completed");
@@ -944,375 +823,24 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   p.alive = true;
   bootstrap_member(assigned);
   // Announce whatever was registered locally before we had an address.
-  for (const auto& [app, handler] : fa_.apps_) publish_app(app);
+  for (const auto& [app, handler] : fa_.apps_) resolver_.publish_app(app);
   adjacency_changed();
 }
 
 void Ipcp::leave(bool teardown_flows) {
   if (!enrolled_) return;
   fa_.close_all(teardown_flows);
-  rib::RiepMessage bye;
-  bye.op = rib::RiepOp::stop;
-  bye.obj_name = "/dif/members/" + host_.node_name();
-  bye.obj_class = kClsBye;
+  rib::RiepMessage bye =
+      riep_msg(rib::RiepOp::stop, "/dif/members/" + host_.node_name(), kClsBye);
   for (std::size_t i = 0; i < ports_.size(); ++i)
     if (usable(ports_[i])) send_mgmt(static_cast<relay::PortIndex>(i), bye);
   enrolled_ = false;
   departed_ = true;
   keepalive_timer_.cancel();
   sync_timer_.cancel();
-  for (auto& [app, pr] : pending_resolve_) {
-    (void)app;
-    pr.timer.cancel();
-  }
-  pending_resolve_.clear();
-  dir_cache_.clear();
-  dir_interest_.clear();
+  resolver_.reset();
   routing_.reset();
   stats_.inc("departures");
-}
-
-// --------------------------- directory ---------------------------
-
-rib::RiepMessage Ipcp::dir_update_msg(const naming::AppName& app, std::uint8_t op) {
-  rib::RiepMessage m;
-  m.op = op == 1 ? rib::RiepOp::create : rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirUpd;
-  BufWriter w(32);
-  put_addr(w, address_);
-  w.put_u64(++dir_seq_);
-  w.put_u8(op);
-  put_app(w, app);
-  put_addr(w, address_);
-  m.value = std::move(w).take();
-  return m;
-}
-
-void Ipcp::announce_app(const naming::AppName& app) {
-  if (cfg_.dir_hierarchical) {
-    // Registration state lives only on the resolver chain (region
-    // anchor + root); nobody floods, everyone else resolves on demand.
-    send_targeted_dir_update(app, 1);
-  } else if (cfg_.rib_delta_sync) {
-    disseminate_dir_delta(app, 1);
-  } else {
-    flood(dir_update_msg(app, 1), std::nullopt);
-  }
-}
-
-void Ipcp::publish_app(const naming::AppName& app) {
-  if (!enrolled_ || address_.is_null()) return;
-  dir_.add(app, address_);
-  announce_app(app);
-  // Registration can race adjacency bring-up (the flood reaches only
-  // usable ports); re-announce with fresh sequence numbers until the DIF
-  // has had time to converge.
-  announce_timers_.erase(
-      std::remove_if(announce_timers_.begin(), announce_timers_.end(),
-                     [](const sim::Timer& t) { return !t.armed(); }),
-      announce_timers_.end());
-  for (double ms : {20.0, 100.0, 500.0}) {
-    announce_timers_.push_back(
-        sched().schedule_after(SimTime::from_ms(ms), [this, app] {
-          if (enrolled_ &&
-              dir_.lookup(app) == std::optional<naming::Address>{address_})
-            announce_app(app);
-        }));
-  }
-}
-
-void Ipcp::unpublish_app(const naming::AppName& app) {
-  std::optional<naming::Address> was = dir_.lookup(app);
-  dir_.remove(app);
-  if (cfg_.dir_hierarchical) {
-    send_targeted_dir_update(app, 2);
-    // Mobility/unregister: every cached copy of the old binding must
-    // die. The authorities cascade the invalidation down their interest
-    // lists when the remove reaches them; here only local state is left.
-    if (was) cascade_dir_inval(app, *was);
-  } else if (cfg_.rib_delta_sync) {
-    disseminate_dir_delta(app, 2);
-  } else {
-    flood(dir_update_msg(app, 2), std::nullopt);
-  }
-}
-
-void Ipcp::send_dir_sync(relay::PortIndex idx) {
-  if (!enrolled_ || dir_.size() == 0) return;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/dif/directory";
-  m.obj_class = kClsDirSync;
-  BufWriter w(256);
-  put_dir(w, kSnapshotBudget);
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
-}
-
-void Ipcp::put_dir(BufWriter& w, std::size_t budget) {
-  put_snapshot(w, dir_.entries(), budget, stats_,
-               [](BufWriter& b, const naming::AppName& app, naming::Address at) {
-                 put_app(b, app);
-                 put_addr(b, at);
-               });
-}
-
-void Ipcp::handle_dir_sync(const rib::RiepMessage& m) {
-  BufReader r(BytesView{m.value});
-  std::uint16_t n = r.get_u16();
-  for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok() && !dir_.lookup(app)) dir_.add(app, at);
-  }
-}
-
-bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
-  BufReader r(BytesView{m.value});
-  naming::Address origin = get_addr(r);
-  std::uint64_t seq = r.get_u64();
-  std::uint8_t op = r.get_u8();
-  naming::AppName app = get_app(r);
-  naming::Address at = get_addr(r);
-  if (!r.ok() || origin.is_null()) return false;
-  if (origin == address_) return false;
-  std::uint64_t key = (static_cast<std::uint64_t>(origin.key()) << 24) ^ seq;
-  if (!dir_flood_seen_.insert(key).second) {
-    stats_.inc("dir_dups_suppressed");
-    return false;
-  }
-  std::optional<naming::Address> old = dir_.lookup(app);
-  if (op == 1)
-    dir_.add(app, at);
-  else
-    dir_.remove(app);
-  // An authority losing (or rebinding) an entry kills every cached copy
-  // of the old binding via its interest list — mobility costs O(who
-  // actually resolved the name), not O(members).
-  if (cfg_.dir_hierarchical && old && (op != 1 || *old != at))
-    cascade_dir_inval(app, *old);
-  return true;
-}
-
-void Ipcp::handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m) {
-  if (apply_dir_update(m) && !cfg_.dir_hierarchical) flood(m, idx);
-}
-
-// ---------------- hierarchical directory resolution ----------------
-//
-// Registrations go only to the resolver chain (region anchor + DIF
-// root); everyone else resolves a miss by asking up, caching the answer
-// with a TTL. Control cost per registration is O(chain length), not
-// O(members) — the tentpole's naming layer.
-
-naming::Address Ipcp::resolver_parent() const {
-  naming::Address anchor = dir_anchor();
-  if (address_ != anchor) return anchor;
-  if (!cfg_.dir_root.is_null() && address_ != cfg_.dir_root)
-    return cfg_.dir_root;
-  return naming::Address{};  // I am the top of the chain
-}
-
-std::optional<naming::Address> Ipcp::dir_cache_lookup(const naming::AppName& app) {
-  auto at = dir_cache_.lookup(app, sched().now());
-  if (at)
-    stats_.inc("dir_cache_hits");
-  else
-    stats_.inc("dir_cache_misses");
-  return at;
-}
-
-void Ipcp::resolve_name(const naming::AppName& app, ResolveCb cb) {
-  if (auto at = dir_.lookup(app)) {
-    if (cb) cb(at);
-    return;
-  }
-  if (!cfg_.dir_hierarchical || !enrolled_) {
-    if (cb) cb(std::nullopt);
-    return;
-  }
-  if (auto at = dir_cache_lookup(app)) {
-    if (cb) cb(at);
-    return;
-  }
-  if (resolver_parent().is_null()) {
-    // Authoritative miss: nobody above me to ask.
-    if (cb) cb(std::nullopt);
-    return;
-  }
-  start_dir_query(app, std::move(cb));
-}
-
-std::optional<naming::Address> Ipcp::dir_lookup_for_alloc(
-    const naming::AppName& app) {
-  if (auto at = dir_.lookup(app)) return at;
-  if (!cfg_.dir_hierarchical || !enrolled_) return std::nullopt;
-  // The allocator polls; while a query is in flight, just miss quietly
-  // (one counted cache miss per query cycle, not per poll).
-  if (pending_resolve_.count(app) != 0) return std::nullopt;
-  if (auto at = dir_cache_lookup(app)) return at;
-  if (resolver_parent().is_null()) return std::nullopt;
-  start_dir_query(app, ResolveCb{});  // cache-warming query
-  return std::nullopt;
-}
-
-void Ipcp::start_dir_query(const naming::AppName& app, ResolveCb cb) {
-  auto it = pending_resolve_.find(app);
-  if (it != pending_resolve_.end()) {
-    it->second.cbs.push_back(std::move(cb));
-    return;  // one query in flight per name
-  }
-  PendingResolve& pr = pending_resolve_[app];
-  pr.cbs.push_back(std::move(cb));
-  pr.attempts = 0;
-  send_dir_query(app);
-}
-
-void Ipcp::send_dir_query(const naming::AppName& app) {
-  auto it = pending_resolve_.find(app);
-  if (it == pending_resolve_.end()) return;
-  PendingResolve& pr = it->second;
-  if (pr.attempts >= kMaxDirQueryAttempts) {
-    finish_dir_query(app, std::nullopt);
-    return;
-  }
-  ++pr.attempts;
-  stats_.inc("dir_queries_sent");
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::read;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirRead;
-  BufWriter w(8 + app.to_string().size());
-  put_addr(w, address_);
-  put_app(w, app);
-  m.value = std::move(w).take();
-  send_routed_mgmt(resolver_parent(), m);
-  pr.timer =
-      sched().schedule_after(kDirQueryRetry, [this, app] { send_dir_query(app); });
-}
-
-void Ipcp::finish_dir_query(const naming::AppName& app,
-                            std::optional<naming::Address> result) {
-  auto it = pending_resolve_.find(app);
-  if (it == pending_resolve_.end()) return;
-  it->second.timer.cancel();
-  std::vector<ResolveCb> cbs = std::move(it->second.cbs);
-  pending_resolve_.erase(it);
-  for (auto& cb : cbs)
-    if (cb) cb(result);
-}
-
-void Ipcp::send_targeted_dir_update(const naming::AppName& app, std::uint8_t op) {
-  rib::RiepMessage m = dir_update_msg(app, op);
-  stats_.inc("dir_targeted_updates");
-  naming::Address anchor = dir_anchor();
-  if (anchor != address_ && !anchor.is_null()) send_routed_mgmt(anchor, m);
-  if (!cfg_.dir_root.is_null() && cfg_.dir_root != address_ &&
-      cfg_.dir_root != anchor)
-    send_routed_mgmt(cfg_.dir_root, m);
-}
-
-void Ipcp::send_dir_inval(naming::Address to, const naming::AppName& app,
-                          naming::Address at) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirInval;
-  BufWriter w(16 + app.to_string().size());
-  put_addr(w, address_);
-  w.put_u64(++dir_seq_);
-  put_app(w, app);
-  put_addr(w, at);
-  m.value = std::move(w).take();
-  stats_.inc("dir_invals_originated");
-  send_routed_mgmt(to, m);
-}
-
-void Ipcp::cascade_dir_inval(const naming::AppName& app, naming::Address at) {
-  if (dir_cache_.invalidate_if_at(app, at))
-    stats_.inc("dir_cache_invalidations");
-  auto it = dir_interest_.find(app);
-  if (it == dir_interest_.end()) return;
-  // Interest older than the cache TTL cannot correspond to a live
-  // cached entry any more — let it age out silently.
-  SimTime now = sched().now();
-  for (const auto& [who, when] : it->second)
-    if (now - when < cfg_.dir_cache_ttl && who != address_)
-      send_dir_inval(who, app, at);
-  dir_interest_.erase(it);
-}
-
-void Ipcp::handle_dir_inval(const rib::RiepMessage& m) {
-  BufReader r(BytesView{m.value});
-  naming::Address origin = get_addr(r);
-  std::uint64_t seq = r.get_u64();
-  naming::AppName app = get_app(r);
-  naming::Address at = get_addr(r);
-  if (!r.ok() || origin.is_null()) return;
-  if (origin == address_) return;
-  // Invalidations share the origin's DirUpd sequence space, so one seen
-  // set covers both kinds.
-  std::uint64_t key = (static_cast<std::uint64_t>(origin.key()) << 24) ^ seq;
-  if (!dir_flood_seen_.insert(key).second) {
-    stats_.inc("dir_dups_suppressed");
-    return;
-  }
-  // Drop a stale authoritative binding too — unless a newer
-  // registration already replaced it.
-  if (dir_.lookup(app) == std::optional<naming::Address>{at}) dir_.remove(app);
-  // Kill the local cached copy and pass the invalidation further down
-  // the query tree (whoever resolved through this node).
-  cascade_dir_inval(app, at);
-}
-
-void Ipcp::handle_dir_read(const efcp::Pci& pci, const rib::RiepMessage& m) {
-  (void)pci;
-  BufReader r(BytesView{m.value});
-  naming::Address requester = get_addr(r);
-  naming::AppName app = get_app(r);
-  if (!r.ok() || requester.is_null() || requester == address_) return;
-  stats_.inc("dir_queries_served");
-  // Remember who asked: a later mobility event invalidates exactly these
-  // caches instead of flooding. Bounded per name; oldest interest falls
-  // off first (its cache entry expires by TTL anyway).
-  auto& interest = dir_interest_[app];
-  interest[requester] = sched().now();
-  if (interest.size() > kMaxDirInterest) {
-    auto oldest = interest.begin();
-    for (auto iit = interest.begin(); iit != interest.end(); ++iit)
-      if (iit->second < oldest->second) oldest = iit;
-    interest.erase(oldest);
-  }
-  // Resolve locally or escalate up my own chain; either way the reply
-  // goes back to the immediate requester, which caches it — so an
-  // answer warms every hop on its way down.
-  resolve_name(app, [this, requester, app](std::optional<naming::Address> at) {
-    rib::RiepMessage rep;
-    rep.op = rib::RiepOp::reply;
-    rep.obj_name = "/dif/directory/" + app.to_string();
-    rep.obj_class = kClsDirReadReply;
-    BufWriter w(16 + app.to_string().size());
-    put_app(w, app);
-    w.put_u8(at ? 1 : 0);
-    put_addr(w, at ? *at : naming::Address{});
-    rep.value = std::move(w).take();
-    send_routed_mgmt(requester, rep);
-  });
-}
-
-void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
-  BufReader r(BytesView{m.value});
-  naming::AppName app = get_app(r);
-  std::uint8_t found = r.get_u8();
-  naming::Address at = get_addr(r);
-  if (!r.ok()) return;
-  std::optional<naming::Address> res;
-  if (found != 0 && !at.is_null()) {
-    res = at;
-    dir_cache_.insert(app, at, sched().now());
-  }
-  finish_dir_query(app, res);
 }
 
 // ----------------------- versioned delta sync -----------------------
@@ -1321,15 +849,6 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
 // per-origin deltas (gap pulls on a hole, scoped snapshot when the hole
 // fell off the bounded log), and periodic anti-entropy digest rounds
 // sweep the namespace in sorted windows.
-
-rib::RiepMessage Ipcp::sync_msg(const char* cls, Bytes value) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::sync;
-  m.obj_name = "/rib/sync";
-  m.obj_class = cls;
-  m.value = std::move(value);
-  return m;
-}
 
 void Ipcp::send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value) {
   send_mgmt(idx, sync_msg(cls, std::move(value)));
@@ -1357,13 +876,13 @@ void Ipcp::disseminate_delta(const std::string& name, const std::string& cls,
   if (flood(m, std::nullopt) > 0) sync_sent_ = sync_seq_;
 }
 
-void Ipcp::disseminate_dir_delta(const naming::AppName& app, std::uint8_t op) {
+void Ipcp::disseminate_dir(const naming::AppName& app, std::uint8_t op) {
+  if (!cfg_.rib_delta_sync) {
+    flood(resolver_.update_msg(app, op), std::nullopt);
+    return;
+  }
   const std::string name = "/dif/directory/" + app.to_string();
-  BufWriter w(8 + app.to_string().size());
-  w.put_u8(op);  // 1 = bind to me, 2 = tombstone
-  put_app(w, app);
-  put_addr(w, address_);
-  Bytes value = std::move(w).take();
+  Bytes value = resolver_.entry_value(app, op);
   // Lamport-ish: bump past whatever version this replica has seen, so a
   // re-registration after mobility beats the old origin's entries.
   std::uint64_t ver = rib_.version_of(name) + 1;
@@ -1384,16 +903,7 @@ bool Ipcp::apply_replicated(const rib::DeltaEntry& e) {
         routing_.learn(origin, seq, std::move(neighbors)))
       schedule_spf();
   } else if (e.obj_class == kClsDirEntry) {
-    BufReader r(BytesView{e.value});
-    std::uint8_t op = r.get_u8();
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok()) {
-      if (op == 1 && !at.is_null())
-        dir_.add(app, at);
-      else if (op == 2)
-        dir_.remove(app);  // version gate already ordered us after any add
-    }
+    resolver_.apply_entry(BytesView{e.value});
   }
   return true;
 }
@@ -1659,23 +1169,15 @@ Result<void> FlowAllocator::register_app(const naming::AppName& app,
   auto [it, inserted] = apps_.emplace(app, std::move(accept));
   if (!inserted) return {Err::already_exists, app.to_string()};
   stats_.inc("apps_registered");
-  self_.publish_app(app);
+  self_.resolver_.publish_app(app);
   return Ok();
 }
 
 Result<void> FlowAllocator::unregister_app(const naming::AppName& app) {
   if (apps_.erase(app) == 0) return {Err::not_found, app.to_string()};
   stats_.inc("apps_unregistered");
-  self_.unpublish_app(app);
+  self_.resolver_.unpublish_app(app);
   return Ok();
-}
-
-bool FlowAllocator::can_resolve(const naming::AppName& app) const {
-  // A hierarchical DIF can resolve anything registered *somewhere* in it
-  // — the answer just isn't local yet. Claim yes and let the allocation
-  // path query up; a true miss fails at the allocation deadline.
-  if (self_.cfg_.dir_hierarchical && self_.enrolled_) return true;
-  return self_.dir_.lookup(app).has_value();
 }
 
 const flow::QosCube* FlowAllocator::find_cube(const flow::QosSpec& spec) const {
@@ -1743,7 +1245,7 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
   // stale (or null) source address; wait like a directory miss.
   std::optional<naming::Address> addr;
   if (self_.enrolled_ && !self_.address_.is_null())
-    addr = self_.dir_lookup_for_alloc(pend.remote);
+    addr = self_.resolver_.resolve(pend.remote);
   if (!addr) {
     if (self_.sched().now() >= pend.deadline) {
       finish_pending(invoke_id,
@@ -1757,11 +1259,6 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
     return;
   }
 
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::create;
-  m.invoke_id = invoke_id;
-  m.obj_name = "/dif/flows/" + pend.remote.to_string();
-  m.obj_class = "FlowReq";
   BufWriter w(64);
   put_addr(w, self_.address_);
   w.put_u16(pend.local_cep);
@@ -1769,7 +1266,10 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
   w.put_lpstring(pend.cube.name);
   put_app(w, pend.local);
   put_app(w, pend.remote);
-  m.value = std::move(w).take();
+  rib::RiepMessage m = riep_msg(rib::RiepOp::create,
+                                "/dif/flows/" + pend.remote.to_string(), kClsFlowReq,
+                                std::move(w).take());
+  m.invoke_id = invoke_id;
   self_.send_routed_mgmt(*addr, m);
   pend.sent = true;
 
@@ -1913,16 +1413,13 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
   if (!r.ok()) return;
 
   auto reply = [&](bool ok, efcp::CepId cep, const std::string& err) {
-    rib::RiepMessage resp;
-    resp.op = rib::RiepOp::reply;
-    resp.invoke_id = m.invoke_id;
-    resp.obj_name = m.obj_name;
-    resp.obj_class = "FlowResp";
     BufWriter w(32);
     w.put_u8(ok ? 1 : 0);
     w.put_u16(cep);
     w.put_lpstring(err);
-    resp.value = std::move(w).take();
+    rib::RiepMessage resp =
+        riep_msg(rib::RiepOp::reply, m.obj_name, kClsFlowResp, std::move(w).take());
+    resp.invoke_id = m.invoke_id;
     self_.send_routed_mgmt(src_addr, resp);
   };
 
@@ -2037,15 +1534,11 @@ void FlowAllocator::on_flow_resp(const efcp::Pci& pci, const rib::RiepMessage& m
 /// The one encoder of the release wire format, shared by deallocate's
 /// retried path and close_all's parting shot.
 rib::RiepMessage FlowAllocator::release_msg(const FlowRec& rec) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::remove;
-  m.obj_name = "/dif/flows/" + rec.local.to_string();
-  m.obj_class = kClsFlowRelease;
   BufWriter w(8);
   w.put_u16(rec.remote_cep);  // the peer's CEP: how it finds the flow
   w.put_u16(rec.local_cep);   // ours: how its ack finds us
-  m.value = std::move(w).take();
-  return m;
+  return riep_msg(rib::RiepOp::remove, "/dif/flows/" + rec.local.to_string(),
+                  kClsFlowRelease, std::move(w).take());
 }
 
 Result<void> FlowAllocator::deallocate(flow::PortId port) {
@@ -2088,14 +1581,10 @@ void FlowAllocator::on_flow_release(const efcp::Pci& pci,
   if (!r.ok()) return;
   // Ack before looking anything up: a retried release for a flow we
   // already retired must still be acked or the peer retries to timeout.
-  rib::RiepMessage ack;
-  ack.op = rib::RiepOp::reply;
-  ack.obj_name = m.obj_name;
-  ack.obj_class = kClsFlowReleaseAck;
   BufWriter w(4);
   w.put_u16(peer_cep);
-  ack.value = std::move(w).take();
-  self_.send_routed_mgmt(pci.src, ack);
+  self_.send_routed_mgmt(pci.src, riep_msg(rib::RiepOp::reply, m.obj_name,
+                                           kClsFlowReleaseAck, std::move(w).take()));
 
   FlowRec* rec = by_cep(my_cep);
   if (rec == nullptr) return;

@@ -2,7 +2,8 @@
 // system. The paper's claim is that networking is this object, repeated:
 //
 //   * Enrollment  — joining the DIF under its admission policy (§6.1);
-//   * Directory   — name -> address, internal to the DIF;
+//   * Directory   — name -> address, internal to the DIF, flat or
+//                   hierarchical (ipcp/resolver.hpp);
 //   * Flow alloc  — request IPC to an application by *name*; get a
 //                   port-id back; addresses never reach the app;
 //   * EFCP        — per-flow error/flow control with per-DIF policies;
@@ -17,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,9 +35,8 @@
 #include "efcp/pci.hpp"
 #include "flow/flow.hpp"
 #include "flow/qos.hpp"
+#include "ipcp/resolver.hpp"
 #include "naming/addr_map.hpp"
-#include "naming/dir_cache.hpp"
-#include "naming/directory.hpp"
 #include "naming/names.hpp"
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
@@ -153,7 +151,6 @@ class FlowAllocator {
   /// hierarchical mode, tombstone elsewhere). The app can then register
   /// elsewhere — mobility is unregister here, register there.
   Result<void> unregister_app(const naming::AppName& app);
-  [[nodiscard]] bool can_resolve(const naming::AppName& app) const;
   /// Does this DIF offer a QoS cube matching `spec`? (Name-only
   /// allocation skips DIFs that resolve the name but not the spec.)
   [[nodiscard]] bool can_satisfy(const flow::QosSpec& spec) const;
@@ -285,7 +282,8 @@ class Ipcp {
   /// The RMT's content store, or nullptr when the DIF's policy disables
   /// it (rmt_content_store_enabled).
   content::ContentStore* content_store() { return cstore_.get(); }
-  naming::Directory& directory() { return dir_; }
+  Resolver& resolver() { return resolver_; }
+  naming::Directory& directory() { return resolver_.directory(); }
   rib::Rib& rib() { return rib_; }
   Stats& stats() { return stats_; }
 
@@ -337,26 +335,11 @@ class Ipcp {
   Result<void> enroll_via(relay::PortIndex idx);
   void leave(bool teardown_flows);
 
-  // ---- directory (app registration side-effects) ----
-  void publish_app(const naming::AppName& app);
-  void unpublish_app(const naming::AppName& app);
-
-  // ---- hierarchical resolution (cfg.dir_hierarchical) ----
-  using ResolveCb = std::function<void(std::optional<naming::Address>)>;
-  /// Resolve a name: local replica, then TTL cache, then a query up the
-  /// resolver chain (member -> region anchor -> root). In flat DIFs this
-  /// degenerates to the local lookup. `cb` fires exactly once.
-  void resolve_name(const naming::AppName& app, ResolveCb cb);
-  naming::DirCache& dir_cache() { return dir_cache_; }
-  /// My region's resolver anchor ({region, cfg.dir_anchor_node}).
-  [[nodiscard]] naming::Address dir_anchor() const {
-    return naming::Address{address_.region, cfg_.dir_anchor_node};
-  }
-
  private:
   friend class Rmt;
   friend class FlowAllocator;
   friend class Enrollment;
+  friend class Resolver;
 
   struct Port {
     std::function<bool(Packet&)> tx;
@@ -395,38 +378,14 @@ class Ipcp {
   void handle_bye(relay::PortIndex idx);
   void handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m);
   void handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m);
-  void handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m);
-  bool apply_dir_update(const rib::RiepMessage& m);  // true = fresh
-  /// Directory snapshot block: the (app, address) pairs within `budget`.
-  void put_dir(BufWriter& w, std::size_t budget);
-  void send_dir_sync(relay::PortIndex idx);
-  void handle_dir_sync(const rib::RiepMessage& m);
-  /// DirUpd binding `app` to me (op 1) or withdrawing it (op 2).
-  rib::RiepMessage dir_update_msg(const naming::AppName& app, std::uint8_t op);
-  void announce_app(const naming::AppName& app);  // mode-dispatched register
-
-  // Hierarchical directory plumbing.
-  [[nodiscard]] naming::Address resolver_parent() const;
-  std::optional<naming::Address> dir_lookup_for_alloc(const naming::AppName& app);
-  std::optional<naming::Address> dir_cache_lookup(const naming::AppName& app);
-  void start_dir_query(const naming::AppName& app, ResolveCb cb);
-  void send_dir_query(const naming::AppName& app);
-  void finish_dir_query(const naming::AppName& app,
-                        std::optional<naming::Address> result);
-  void send_targeted_dir_update(const naming::AppName& app, std::uint8_t op);
-  void send_dir_inval(naming::Address to, const naming::AppName& app,
-                      naming::Address at);
-  void cascade_dir_inval(const naming::AppName& app, naming::Address at);
-  void handle_dir_read(const efcp::Pci& pci, const rib::RiepMessage& m);
-  void handle_dir_read_reply(const rib::RiepMessage& m);
-  void handle_dir_inval(const rib::RiepMessage& m);
 
   // Versioned delta RIB sync (cfg.rib_delta_sync; src/rib/sync.hpp).
-  void disseminate_dir_delta(const naming::AppName& app, std::uint8_t op);
+  /// A flat directory's (un)registration of `app` (op 1 / op 2): a
+  /// flooded DirUpd, or a versioned DirEntry delta under delta sync.
+  void disseminate_dir(const naming::AppName& app, std::uint8_t op);
   void disseminate_delta(const std::string& name, const std::string& cls,
                          Bytes value, std::uint64_t version);
   bool apply_replicated(const rib::DeltaEntry& e);
-  static rib::RiepMessage sync_msg(const char* cls, Bytes value);
   void send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value);
   void push_objects(relay::PortIndex idx, const std::vector<std::string>& names);
   void send_port_digest(relay::PortIndex idx);
@@ -477,7 +436,6 @@ class Ipcp {
   bool departed_ = false;
 
   std::vector<Port> ports_;
-  naming::Directory dir_;
   rib::Rib rib_;
   Stats stats_;
   // Per-mgmt-PDU counter cells (Stats::slot): send_mgmt classifies every
@@ -502,28 +460,14 @@ class Ipcp {
   std::uint64_t mgmt_dropped_ = 0;
 
   routing::LinkState routing_;  // LSDB, SPF and FIB install
+  Resolver resolver_;           // directory replica, cache and queries
   Rmt rmt_;
   FlowAllocator fa_;
   Enrollment enrollment_;
   std::unique_ptr<content::ContentStore> cstore_;  // per-DIF RMT policy
 
-  // Directory flood dedup state and the last neighbor set an LSU told.
-  std::set<std::uint64_t> dir_flood_seen_;
-  std::uint64_t dir_seq_ = 0;
+  // The last neighbor set an LSU told.
   std::vector<naming::Address> last_neighbor_set_;
-
-  // Hierarchical directory resolution state (cfg_.dir_hierarchical).
-  naming::DirCache dir_cache_;
-  struct PendingResolve {
-    std::vector<ResolveCb> cbs;  // null entries = cache-warming only
-    int attempts = 0;
-    sim::Timer timer;
-  };
-  std::map<naming::AppName, PendingResolve> pending_resolve_;
-  // Who asked me for a name recently (authorities only; queries land on
-  // the resolver chain). Invalidations cascade down these edges instead
-  // of flooding the DIF, so a mobility event costs O(actual interest).
-  std::map<naming::AppName, naming::AddrMap<SimTime>> dir_interest_;
 
   // Delta sync state (cfg_.rib_delta_sync): per-origin logs + cursor.
   rib::SyncState sync_;
@@ -535,8 +479,7 @@ class Ipcp {
   // Owned timers replace the scheduled/alive-token flags: armed() is the
   // "already scheduled" test and destruction is the cancellation.
   sim::Timer lsu_timer_;
-  sim::Timer keepalive_timer_;               // periodic while enrolled
-  std::vector<sim::Timer> announce_timers_;  // staggered app re-announces
+  sim::Timer keepalive_timer_;  // periodic while enrolled
 };
 
 }  // namespace rina::ipcp

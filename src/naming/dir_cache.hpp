@@ -3,8 +3,9 @@
 // In a hierarchical DIF the full directory lives only at the resolver
 // anchors; everyone else resolves on demand (query up, RIEP read) and
 // remembers the answer here. Entries age out after a TTL and are evicted
-// explicitly when an unregister/mobility invalidation flood names them —
-// so a cached binding is never served after the network said it moved.
+// explicitly when an unregister/mobility invalidation names them (sent
+// only to the members that asked for the name) — so a cached binding is
+// never served after the network said it moved.
 //
 // Determinism: storage is an ordered map and eviction (at capacity)
 // removes the entry expiring soonest, smallest name breaking ties. No
@@ -30,13 +31,7 @@ class DirCache {
     std::uint64_t evictions = 0;
   };
 
-  DirCache() = default;
   DirCache(SimTime ttl, std::size_t capacity) : ttl_(ttl), capacity_(capacity) {}
-
-  void configure(SimTime ttl, std::size_t capacity) {
-    ttl_ = ttl;
-    capacity_ = capacity;
-  }
 
   /// Resolve `app` at sim time `now`. Expired entries count as misses
   /// (and are erased); a hit refreshes nothing — TTL runs from insert.
@@ -65,13 +60,6 @@ class DirCache {
     }
     if (entries_.size() >= capacity_) evict_one();
     entries_.emplace(app, Entry{at, now + ttl_});
-  }
-
-  /// Drop `app` if cached. Returns true when an entry was present.
-  bool invalidate(const AppName& app) {
-    if (entries_.erase(app) == 0) return false;
-    ++counters_.invalidations;
-    return true;
   }
 
   /// Drop `app` only if it is cached *at* `at` — an invalidation for a
@@ -119,8 +107,8 @@ class DirCache {
     ++counters_.evictions;
   }
 
-  SimTime ttl_ = SimTime::from_ms(2000);
-  std::size_t capacity_ = 4096;
+  SimTime ttl_;
+  std::size_t capacity_;
   std::map<AppName, Entry> entries_;
   Counters counters_;
 };

@@ -124,7 +124,7 @@ flow::Flow Node::allocate_flow(const naming::AppName& local,
       if (!proc->enrolled()) continue;
       bool satisfies = proc->fa().can_satisfy(spec);
       any_satisfies = any_satisfies || satisfies;
-      if (!proc->fa().can_resolve(remote)) continue;
+      if (!proc->resolver().can_resolve(remote)) continue;
       resolved_somewhere = true;
       if (!satisfies) continue;
       proc->fa().allocate(local, remote, spec, adopt_into(sh, proc.get()));
@@ -468,7 +468,7 @@ Result<void> Network::register_overlay_member(const naming::DifName& dif,
   if (overlay_registered_.count(key) != 0) {
     // Re-registration after (re)enrollment: refresh the directory entry
     // (the member's lower address may have changed).
-    lp->publish_app(app);
+    lp->resolver().publish_app(app);
     return Ok();
   }
   overlay_registered_.insert(key);

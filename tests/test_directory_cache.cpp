@@ -152,7 +152,7 @@ static void hierarchical_resolution_end_to_end() {
   CHECK(h.ip("m3")->stats().get("dir_cache_misses") > 0);
   CHECK(h.ip("m3")->stats().get("dir_queries_sent") > 0);
   CHECK(h.ip("anc2")->stats().get("dir_queries_served") > 0);
-  CHECK(h.ip("m3")->dir_cache().size() > 0);
+  CHECK(h.ip("m3")->resolver().cache().size() > 0);
 
   // Second resolution from the same node: pure cache hit, no new query.
   std::uint64_t queries_before = h.ip("m3")->stats().get("dir_queries_sent");
@@ -191,10 +191,10 @@ static void mobility_invalidation_no_stale_reads() {
   CHECK(f.write(BytesView{to_bytes("to-old-home")}).ok());
   h.net.run_for(SimTime::from_ms(200));
   CHECK(got_old == 1);
-  CHECK(h.ip("m3")->dir_cache().size() > 0);
+  CHECK(h.ip("m3")->resolver().cache().size() > 0);
 
   // The app moves: m1 unregisters (inval flood) and m2 registers.
-  h.ip("m1")->unpublish_app(AppName("mob"));
+  h.ip("m1")->resolver().unpublish_app(AppName("mob"));
   h.net.run_for(SimTime::from_ms(50));
   h.serve("m2", "mob", got_new);
 
@@ -284,7 +284,7 @@ static void mobility_script(bool delta, bool hierarchical) {
   settle();
   for (const std::string& n : s.members) {
     CHECK(!ip(n)->directory().lookup(svc).has_value());
-    CHECK(!ip(n)->dir_cache().lookup(svc, net.now()).has_value());
+    CHECK(!ip(n)->resolver().cache().lookup(svc, net.now()).has_value());
   }
 }
 

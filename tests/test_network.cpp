@@ -150,7 +150,7 @@ static void overlay_dif_carries_data() {
   net.run_for(SimTime::from_ms(300));
   CHECK(got == 5);
   // Application names never entered the hop DIFs' directories.
-  CHECK(!net.node("r").ipcp(naming::DifName{"hopA"})->fa().can_resolve(
+  CHECK(!net.node("r").ipcp(naming::DifName{"hopA"})->resolver().can_resolve(
       naming::AppName("srv")));
 }
 
